@@ -21,13 +21,19 @@ canonical architectures (optionally batch-norm folded) are persistable.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .frontend import NUM_MEL_BANDS, PREPROC_TAG, LogMelSpectrogram
+from .frontend import (
+    FRAME_LEN,
+    NUM_MEL_BANDS,
+    PREPROC_TAG,
+    LogMelSpectrogram,
+    frame_count,
+)
 from .models import (
     DEFAULT_EPSILON,
     ModelSpec,
@@ -65,31 +71,39 @@ def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a CSNW file back into (header, name -> float32 array)."""
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise FormatError(f"file too short ({len(data)} bytes) for a CSNW header")
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}")
-    (header_len,) = struct.unpack_from("<Q", data, 8)
-    if 16 + header_len > len(data):
-        raise FormatError("truncated header")
+    """Read a CSNW file back into (header, name -> float32 array).
+
+    The payload is read into one buffer and every tensor is a read-only view
+    into it; manifests whose tensors overlap are rejected.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if len(prefix) < 16:
+            raise FormatError(f"file too short ({len(prefix)} bytes) for a CSNW header")
+        if prefix[:4] != MAGIC:
+            raise FormatError(f"bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+        (version,) = struct.unpack_from("<I", prefix, 4)
+        if version != VERSION:
+            raise FormatError(f"unsupported container version {version}")
+        (header_len,) = struct.unpack_from("<Q", prefix, 8)
+        if 16 + header_len > size:
+            raise FormatError("truncated header")
+        raw_header = fh.read(header_len)
+        payload = fh.read()
     try:
-        header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"header is not valid JSON: {e}") from e
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
         raise FormatError("header must be a JSON object with a 'tensors' manifest")
-    payload = data[16 + header_len :]
     declared = header.get("payload_bytes", len(payload))
     if not isinstance(declared, int) or declared < 0:
         raise FormatError("payload_bytes must be a non-negative integer")
     if len(payload) < declared:
         raise FormatError(f"truncated payload: {len(payload)} of {declared} declared bytes")
     tensors: dict[str, np.ndarray] = {}
+    spans: list[tuple[int, int, str]] = []
     for entry in header["tensors"]:
         if not isinstance(entry, dict):
             raise FormatError("manifest entries must be JSON objects")
@@ -110,7 +124,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"{max(0, (declared - offset)) // 4} values from its offset"
             )
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).copy()
+        tensors[name] = arr.reshape(shape)
+        if count:
+            spans.append((offset, offset + 4 * count, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise ValidationError(f"tensors {first!r} and {second!r} overlap in the payload")
     return header, tensors
 
 
@@ -165,6 +185,7 @@ def load_bundle(path, check_preproc: bool = True) -> WeightBundle:
     spec = build_arch(arch_id, num_classes)
     if header.get("folded", False):
         spec = fold_spec(spec)
+    # validation casts each float32 view to float64 once, in place in `tensors`
     return WeightBundle(spec=spec, params=tensors, preproc_tag=preproc_tag,
                         epsilon=float(epsilon))
 
@@ -178,20 +199,36 @@ def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
         "frame_len_s": spec.frame_len_s,
         "source_id": spec.source_id,
     }
+    if spec.num_samples is not None:
+        header["num_samples"] = spec.num_samples
     write_container(path, header, {"logmel": spec.frames})
 
 
 def load_spectrogram(path) -> LogMelSpectrogram:
+    """Load a spectrogram container, checking its preproc_tag like `load_bundle`."""
     header, tensors = read_container(path)
+    preproc_tag = header.get("preproc_tag", PREPROC_TAG)
+    if preproc_tag != PREPROC_TAG:
+        raise ValidationError(
+            f"features were computed with frontend {preproc_tag!r}, "
+            f"this build provides {PREPROC_TAG!r}"
+        )
     if "logmel" not in tensors:
         raise ValidationError("container has no 'logmel' tensor")
     frames = tensors["logmel"]
     if frames.ndim != 2 or frames.shape[1] != NUM_MEL_BANDS:
         raise ValidationError(f"logmel tensor must be [frames, {NUM_MEL_BANDS}], "
                               f"got {frames.shape}")
+    num_samples = header.get("num_samples")
+    if num_samples is not None and (
+            not isinstance(num_samples, int) or num_samples < FRAME_LEN
+            or frame_count(num_samples) != frames.shape[0]):
+        raise ValidationError(
+            f"num_samples {num_samples!r} does not match {frames.shape[0]} frames")
     return LogMelSpectrogram(
         frames=frames.astype(np.float64),
         frame_hop_s=float(header.get("frame_hop_s", 0.010)),
         frame_len_s=float(header.get("frame_len_s", 0.025)),
         source_id=str(header.get("source_id", "")),
+        num_samples=num_samples,
     )

@@ -68,10 +68,14 @@ def score_spectrogram(
     positive_class: int,
     clip_id: str = "",
 ) -> list[SecondScore]:
-    """One SecondScore per whole second of an already-computed spectrogram."""
-    seconds = (spec.num_frames + 2) // FRAMES_PER_SECOND  # a full second yields 98 frames
+    """One SecondScore per whole second of an already-computed spectrogram.
+
+    Seconds are counted by `LogMelSpectrogram.whole_seconds`, so a clip gets
+    the same count from its WAV and from its featurized container.
+    """
+    seconds = spec.whole_seconds
     if seconds < 1:
-        raise TooShort(f"{spec.num_frames} frames cover less than one second")
+        raise TooShort(f"spectrogram {clip_id or spec.source_id!r} covers less than one second")
     return [
         SecondScore(
             clip_id=clip_id or spec.source_id,
@@ -95,8 +99,7 @@ def score_stream(bundle: WeightBundle, clip: AudioClip, positive_class: int) -> 
     if len(resampled.samples) < SAMPLE_RATE:
         raise TooShort(f"clip {clip.source_id!r} is shorter than one second")
     spec = log_mel_spectrogram(resampled)
-    seconds = len(resampled.samples) // SAMPLE_RATE
-    return score_spectrogram(bundle, spec, positive_class, clip_id=clip.source_id)[:seconds]
+    return score_spectrogram(bundle, spec, positive_class, clip_id=clip.source_id)
 
 
 def merge_events(

@@ -59,16 +59,33 @@ class AudioClip:
 
 @dataclass
 class LogMelSpectrogram:
-    """Natural-log mel energies, one row per frame, 64 columns."""
+    """Natural-log mel energies, one row per frame, 64 columns.
+
+    `num_samples` is the length of the 16 kHz clip the frames came from, or
+    None when it is not known (spectrograms built or stored without it).
+    """
 
     frames: np.ndarray
     frame_hop_s: float = FRAME_HOP / SAMPLE_RATE
     frame_len_s: float = FRAME_LEN / SAMPLE_RATE
     source_id: str = ""
+    num_samples: int | None = None
 
     @property
     def num_frames(self) -> int:
         return self.frames.shape[0]
+
+    @property
+    def whole_seconds(self) -> int:
+        """Whole seconds of audio the spectrogram covers: ``num_samples // 16000``.
+
+        Without `num_samples` it falls back to ``(frames + 2) // 100`` (a full
+        second yields 98 frames), which counts one second more than the clip
+        had for lengths just short of a whole second.
+        """
+        if self.num_samples is None:
+            return (self.num_frames + 2) // (SAMPLE_RATE // FRAME_HOP)
+        return self.num_samples // SAMPLE_RATE
 
 
 @dataclass
@@ -175,6 +192,11 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def frame_count(num_samples: int) -> int:
+    """Frames `log_mel_spectrogram` yields for a 16 kHz clip of `num_samples`."""
+    return 1 + (num_samples - FRAME_LEN) // FRAME_HOP
+
+
 def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
     """Compute the log-mel spectrogram of a 16 kHz mono clip.
 
@@ -186,14 +208,15 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
     x = clip.samples.astype(np.float64)
     if len(x) < FRAME_LEN:
         raise TooShort(f"need at least {FRAME_LEN} samples, got {len(x)}")
-    num_frames = 1 + (len(x) - FRAME_LEN) // FRAME_HOP
+    num_frames = frame_count(len(x))
     idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(num_frames)[:, None]
     frames = x[idx] * _hann_periodic(FRAME_LEN)
     spectrum = np.fft.rfft(frames, n=N_FFT)
     power = spectrum.real**2 + spectrum.imag**2
     fb = _cached_filterbank(NUM_FFT_BINS, NUM_MEL_BANDS, MEL_FMIN_HZ, MEL_FMAX_HZ, SAMPLE_RATE)
     mel = power @ fb.T
-    return LogMelSpectrogram(frames=np.log(mel + LOG_OFFSET), source_id=clip.source_id)
+    return LogMelSpectrogram(frames=np.log(mel + LOG_OFFSET), source_id=clip.source_id,
+                             num_samples=len(x))
 
 
 def extract_patches(

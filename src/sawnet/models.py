@@ -209,6 +209,11 @@ class WeightBundle:
     `params` maps "<layer>/<tensor>" to arrays, e.g. "conv1/kernels",
     "bn1/gamma", "fc1/weights". `epsilon` is shared by every batch-norm
     layer; `preproc_tag` records the frontend convention the weights expect.
+
+    Validation replaces every tensor by a read-only float64 array (a float64
+    array passed in is kept, not copied, and becomes read-only) and the layer
+    operators view those same arrays, so the weights are held once, at twice
+    the size of their float32 container.
     """
 
     spec: ModelSpec
@@ -233,12 +238,13 @@ class WeightBundle:
                 expected.add(key)
                 if key not in self.params:
                     raise ValidationError(f"missing parameter tensor {key!r}")
-                arr = np.asarray(self.params[key])
+                arr = np.asarray(self.params[key], dtype=np.float64)
                 if arr.shape != shape:
                     raise ValidationError(
                         f"tensor {key!r} has shape {arr.shape}, expected {shape}"
                     )
-                tensors[suffix] = arr
+                arr.setflags(write=False)
+                self.params[key] = tensors[suffix] = arr
             try:
                 if layer.kind == "conv":
                     objs[layer.name] = nn.ConvParams(tensors["kernels"], tensors["bias"])
@@ -376,18 +382,16 @@ def fold_batchnorm(bundle: WeightBundle) -> WeightBundle:
             params[f"{layer.name}/bias"] = np.asarray(bundle.params[f"{layer.name}/bias"])
         elif layer.kind == "batchnorm":
             n = layer.name
-            scale = bundle.params[f"{n}/gamma"].astype(np.float64) / np.sqrt(
-                bundle.params[f"{n}/var"].astype(np.float64) + bundle.epsilon
-            )
+            scale = bundle.params[f"{n}/gamma"] / np.sqrt(bundle.params[f"{n}/var"] + bundle.epsilon)
             kernels = params[f"{prev_conv}/kernels"]
             bias = params[f"{prev_conv}/bias"]
+            # rounded to the container's float32, so a folded bundle forwards
+            # identically before and after save_bundle
             params[f"{prev_conv}/kernels"] = (
-                kernels.astype(np.float64) * scale[:, None, None, None]
-            ).astype(kernels.dtype)
+                kernels * scale[:, None, None, None]).astype(np.float32)
             params[f"{prev_conv}/bias"] = (
-                (bias.astype(np.float64) - bundle.params[f"{n}/mean"].astype(np.float64)) * scale
-                + bundle.params[f"{n}/beta"].astype(np.float64)
-            ).astype(bias.dtype)
+                (bias - bundle.params[f"{n}/mean"]) * scale + bundle.params[f"{n}/beta"]
+            ).astype(np.float32)
         elif layer.kind == "dense":
             params[f"{layer.name}/weights"] = np.asarray(bundle.params[f"{layer.name}/weights"])
             params[f"{layer.name}/bias"] = np.asarray(bundle.params[f"{layer.name}/bias"])

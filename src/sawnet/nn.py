@@ -2,8 +2,15 @@
 
 Tensors are plain numpy arrays. Feature maps are channels-first ``[C, H, W]``,
 row-major; vectors are 1-D. Every operator accumulates in float64 and casts
-the result back to the promoted dtype of its inputs, so float32 weight
-bundles keep float32 activations without losing digits in long reductions.
+the result back to the promoted dtype of its inputs and parameters, so float32
+inputs with float32 parameters stay float32 without losing digits in long
+reductions.
+
+Parameter objects hold read-only views of the arrays they are given, never
+copies, and prepare what every call needs once at construction: a conv keeps
+its kernels as an ``[out, in*k*k]`` matrix, a batch norm its per-channel scale
+and shift. `models.WeightBundle` hands them read-only float64 arrays, so a
+network forward casts no weight (and its activations are float64).
 
 Only the dense head has a backward path (`cross_entropy_grad` plus the
 closed-form dense gradient assembled by the training loop); convolution and
@@ -20,21 +27,28 @@ from .errors import ShapeError
 
 
 def _readonly(a, name: str) -> np.ndarray:
-    arr = np.array(a, copy=True)
+    """A read-only view of `a` (integer input is converted to float32)."""
+    arr = np.asarray(a)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float32)
     if not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite values")
+    arr = arr.view()
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class ConvParams:
-    """Kernels ``[out_ch, in_ch, k, k]`` (k odd) and bias ``[out_ch]``."""
+    """Kernels ``[out_ch, in_ch, k, k]`` (k odd) and bias ``[out_ch]``.
+
+    `kmat` is the same kernels viewed as the ``[out_ch, in_ch*k*k]`` matrix
+    that `conv2d_same` multiplies by.
+    """
 
     kernels: np.ndarray
     bias: np.ndarray
+    kmat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kernels", _readonly(self.kernels, "kernels"))
@@ -48,6 +62,7 @@ class ConvParams:
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match {out_ch} output channels"
             )
+        object.__setattr__(self, "kmat", self.kernels.reshape(out_ch, -1))
 
     @property
     def out_channels(self) -> int:
@@ -60,13 +75,19 @@ class ConvParams:
 
 @dataclass(frozen=True)
 class BatchNormParams:
-    """Per-channel affine renormalization statistics (inference form)."""
+    """Per-channel affine renormalization statistics (inference form).
+
+    `scale` = gamma / sqrt(var + eps) and `shift` = beta - mean * scale are
+    computed once, in float64.
+    """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
     epsilon: float = 1e-5
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
+    shift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gamma", "beta", "running_mean", "running_var"):
@@ -81,6 +102,11 @@ class BatchNormParams:
             raise ShapeError("running_var entries must be >= 0")
         if not self.epsilon > 0:
             raise ShapeError("epsilon must be > 0")
+        scale = self.gamma.astype(np.float64) / np.sqrt(
+            self.running_var.astype(np.float64) + self.epsilon)
+        shift = self.beta.astype(np.float64) - self.running_mean.astype(np.float64) * scale
+        object.__setattr__(self, "scale", _readonly(scale, "scale"))
+        object.__setattr__(self, "shift", _readonly(shift, "shift"))
 
     @property
     def channels(self) -> int:
@@ -141,8 +167,7 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     # [C, H, W, k, k] -> [H*W, C*k*k]
     cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     cols = cols.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
-    kmat = p.kernels.astype(np.float64).reshape(p.out_channels, c * k * k)
-    out = cols @ kmat.T + p.bias.astype(np.float64)
+    out = cols @ p.kmat.T + p.bias
     out = out.T.reshape(p.out_channels, h, w)
     return _cast_back(out, x, p.kernels)
 
@@ -152,9 +177,7 @@ def batchnorm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     x = _check_chw(x, "batchnorm_infer")
     if x.shape[0] != p.channels:
         raise ShapeError(f"input has {x.shape[0]} channels, batch norm expects {p.channels}")
-    scale = p.gamma.astype(np.float64) / np.sqrt(p.running_var.astype(np.float64) + p.epsilon)
-    shift = p.beta.astype(np.float64) - p.running_mean.astype(np.float64) * scale
-    out = x.astype(np.float64, copy=False) * scale[:, None, None] + shift[:, None, None]
+    out = x.astype(np.float64, copy=False) * p.scale[:, None, None] + p.shift[:, None, None]
     return _cast_back(out, x, p.gamma)
 
 
@@ -188,7 +211,7 @@ def dense(x: np.ndarray, p: DenseParams) -> np.ndarray:
         raise ShapeError(f"dense expects a 1-D input, got shape {x.shape}")
     if x.shape[0] != p.in_units:
         raise ShapeError(f"input length {x.shape[0]} does not match {p.in_units} units")
-    out = p.weights.astype(np.float64) @ x.astype(np.float64) + p.bias.astype(np.float64)
+    out = p.weights @ x.astype(np.float64, copy=False) + p.bias
     return _cast_back(out, x, p.weights)
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import bundle as bundle_io
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
 from .frontend import AudioClip, extract_patches, log_mel_spectrogram, resample_to_16k
 from .models import WeightBundle, forward_embedding
@@ -103,9 +103,10 @@ def extract_embeddings(
 ) -> tuple[EmbeddingSet, list[tuple[str, str]]]:
     """Embed labeled clips: mean of all 96-frame patch embeddings per clip.
 
-    `clips` yields (clip, label, fold) triples. Clips that fail to process
-    are skipped and reported in the returned error list instead of aborting
-    the batch. Items come back sorted by clip_id.
+    `clips` yields (clip, label, fold) triples. Clips that fail with a
+    SawnetError (bad audio, too short) are skipped and reported in the
+    returned error list instead of aborting the batch; any other exception is
+    a bug and propagates. Items come back sorted by clip_id.
     """
     rows: list[EmbeddingItem] = []
     errors: list[tuple[str, str]] = []
@@ -122,7 +123,7 @@ def extract_embeddings(
                 vector=np.mean(vectors, axis=0),
             ))
             labels_seen.append(int(label))
-        except Exception as e:  # per-clip failure policy
+        except SawnetError as e:  # per-clip failure policy; bugs propagate
             errors.append((clip.source_id, f"{type(e).__name__}: {e}"))
     rows.sort(key=lambda item: item.clip_id)
     if num_classes is None:
@@ -177,7 +178,7 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
 def head_loss(params: DenseParams, eset: EmbeddingSet, l2: float = 0.0) -> float:
     """Mean cross-entropy of the head on a set, plus the L2 penalty."""
     x, y, _ = _design_matrix(eset)
-    logits = x @ params.weights.T.astype(np.float64) + params.bias.astype(np.float64)
+    logits = x @ params.weights.T + params.bias
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     ce = float(np.mean(log_norm - shifted[np.arange(len(y)), y]))
@@ -190,8 +191,8 @@ def evaluate_head(params: DenseParams, eset: EmbeddingSet) -> tuple[float, float
         raise ConfigError("evaluation set is empty")
     scores = []
     for item in sorted(eset.items, key=lambda i: i.clip_id):
-        probs = softmax(params.weights.astype(np.float64) @ item.vector.astype(np.float64)
-                        + params.bias.astype(np.float64))
+        probs = softmax(params.weights @ item.vector.astype(np.float64, copy=False)
+                        + params.bias)
         scores.append(ClipScore(
             clip_id=item.clip_id,
             predicted=int(np.argmax(probs)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bn_stats, random_patch
-from sawnet import bundle, models
+from sawnet import bundle, frontend, models, nn
 from sawnet.errors import FormatError, ValidationError
 from sawnet.frontend import PREPROC_TAG, LogMelSpectrogram
 
@@ -152,6 +152,18 @@ class TestCorruption:
         with pytest.raises(ValidationError):
             bundle.read_container(path)
 
+    def test_overlapping_tensors(self, tmp_path):
+        # "b" starts at the second value of "a"
+        header = {
+            "tensors": [{"name": "a", "shape": [2], "dtype": "f32", "offset": 0},
+                        {"name": "b", "shape": [2], "dtype": "f32", "offset": 4}],
+            "payload_bytes": 12,
+        }
+        path = tmp_path / "overlap.csnw"
+        path.write_bytes(make_container(header, b"\x00" * 12))
+        with pytest.raises(ValidationError, match="overlap"):
+            bundle.read_container(path)
+
     def test_missing_arch_id(self, tmp_path):
         header = {"tensors": [], "payload_bytes": 0, "num_classes": 2}
         path = tmp_path / "noarch.csnw"
@@ -182,6 +194,82 @@ class TestCorruption:
             bundle.load_bundle(path)
         assert bundle.load_bundle(path, check_preproc=False).preproc_tag == \
             "logmel/other-convention"
+
+
+def _cast_per_call_forward(spec, tensors, epsilon, x, stop_after=None):
+    """Reference forward that casts the stored float32 tensors to float64 on
+    every call, the way the operators did before weights were prepared at load."""
+    for layer in spec.layers:
+        t = {suffix: tensors[f"{layer.name}/{suffix}"] for suffix in models.param_shapes(layer)}
+        if layer.kind == "conv":
+            c, h, w = x.shape
+            k, pad = layer.kernel, layer.kernel // 2
+            xp = np.pad(x.astype(np.float64, copy=False), ((0, 0), (pad, pad), (pad, pad)))
+            cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+            cols = cols.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
+            kmat = t["kernels"].astype(np.float64).reshape(layer.out_ch, c * k * k)
+            x = (cols @ kmat.T + t["bias"].astype(np.float64)).T.reshape(layer.out_ch, h, w)
+        elif layer.kind == "batchnorm":
+            scale = t["gamma"].astype(np.float64) / np.sqrt(t["var"].astype(np.float64) + epsilon)
+            shift = t["beta"].astype(np.float64) - t["mean"].astype(np.float64) * scale
+            x = x * scale[:, None, None] + shift[:, None, None]
+        elif layer.kind == "maxpool":
+            x = nn.maxpool_2x2(x)
+        elif layer.kind == "global_avg_pool":
+            x = nn.global_avg_pool(x)
+        elif layer.kind == "dense":
+            x = t["weights"].astype(np.float64) @ x + t["bias"].astype(np.float64)
+        if layer.relu:
+            x = np.maximum(x, 0)
+        if layer.name == stop_after:
+            break
+    return x
+
+
+class TestPreparedWeights:
+    """A loaded bundle holds its weights once, as read-only float64 arrays."""
+
+    # operator attribute -> parameter tensor suffix it must view
+    VIEWS = {
+        nn.ConvParams: {"kernels": "kernels", "kmat": "kernels", "bias": "bias"},
+        nn.BatchNormParams: {"gamma": "gamma", "beta": "beta", "running_mean": "mean",
+                             "running_var": "var"},
+        nn.DenseParams: {"weights": "weights", "bias": "bias"},
+    }
+
+    @pytest.fixture(params=["aug_bundle_small", "fcn_bundle_small"])
+    def saved(self, request, tmp_path):
+        path = tmp_path / "model.csnw"
+        bundle.save_bundle(request.getfixturevalue(request.param), path)
+        return path
+
+    def test_operators_view_params_read_only(self, saved):
+        loaded = bundle.load_bundle(saved)
+        viewed = set()
+        for name, op in loaded._objs.items():
+            for attr, suffix in self.VIEWS[type(op)].items():
+                held, param = getattr(op, attr), loaded.params[f"{name}/{suffix}"]
+                assert held.dtype == param.dtype == np.float64
+                assert np.shares_memory(held, param), f"{name}.{attr} is a copy"
+                for arr in (held, param):
+                    with pytest.raises(ValueError):
+                        arr.flat[0] = 1.0
+                viewed.add(f"{name}/{suffix}")
+        assert viewed == set(loaded.params)
+
+    def test_forwards_match_cast_per_call_reference(self, saved):
+        loaded = bundle.load_bundle(saved)
+        _, stored = bundle.read_container(saved)
+        spec = loaded.spec
+        for seed in (1, 2):
+            patch = random_patch(seed)
+            x = patch.values[None, :, :]
+            logits = _cast_per_call_forward(spec, stored, loaded.epsilon, x)
+            assert np.array_equal(models.forward_logits(loaded, patch), logits)
+            emb = _cast_per_call_forward(spec, stored, loaded.epsilon, x, spec.embedding_layer)
+            if emb.ndim == 3:
+                emb = nn.global_avg_pool(emb)
+            assert np.array_equal(models.forward_embedding(loaded, patch).values, emb)
 
 
 class TestFuzzedInput:
@@ -236,6 +324,47 @@ class TestSpectrogramContainer:
         assert loaded.frames.shape == (130, 64)
         # payload is float32, so expect float32 resolution
         np.testing.assert_allclose(loaded.frames, frames, atol=1e-5)
+
+    def test_num_samples_round_trip(self, tmp_path):
+        spec = LogMelSpectrogram(frames=np.zeros((298, 64)), num_samples=47950)
+        path = tmp_path / "s.csnw"
+        bundle.save_spectrogram(path, spec)
+        assert bundle.load_spectrogram(path).num_samples == 47950
+
+    def test_whole_seconds_survive_container(self, tmp_path):
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        path = tmp_path / "s.csnw"
+
+        @given(st.integers(16000, 5 * 16000 - 1))
+        @settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        def check(num_samples):
+            clip = frontend.AudioClip(np.zeros(num_samples, np.float32), 16000)
+            spec = frontend.log_mel_spectrogram(clip)
+            bundle.save_spectrogram(path, spec)
+            loaded = bundle.load_spectrogram(path)
+            assert spec.whole_seconds == loaded.whole_seconds == num_samples // 16000
+            # the last scored second's patch starts inside the frames
+            assert (loaded.whole_seconds - 1) * 100 < loaded.num_frames
+
+        check()
+
+    @pytest.mark.parametrize("num_samples", [47950 + 160, 399, 47950.0, "47950"])
+    def test_inconsistent_num_samples_rejected(self, tmp_path, num_samples):
+        path = tmp_path / "bad.csnw"
+        bundle.write_container(path, {"kind": "logmel", "num_samples": num_samples},
+                               {"logmel": np.zeros((298, 64))})
+        with pytest.raises(ValidationError):
+            bundle.load_spectrogram(path)
+
+    def test_preproc_tag_mismatch(self, tmp_path):
+        path = tmp_path / "other.csnw"
+        bundle.write_container(path, {"kind": "logmel", "preproc_tag": "logmel/other"},
+                               {"logmel": np.zeros((120, 64))})
+        with pytest.raises(ValidationError, match="logmel/other"):
+            bundle.load_spectrogram(path)
 
     def test_wrong_band_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csnw"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawnet import evaluation, models
+from sawnet import bundle, evaluation, frontend, models
 from sawnet.errors import ConfigError, TooShort, UndefinedMetric
 from sawnet.evaluation import SecondScore, accuracy_f1, merge_events, pr_curve, score_stream
 from sawnet.frontend import AudioClip
@@ -222,6 +222,23 @@ class TestScoreStream:
     def test_fractional_tail_dropped(self, zero_bundle):
         clip = AudioClip(np.zeros(16000 + 8000, np.float32), 16000, "clip")
         assert len(score_stream(zero_bundle, clip, positive_class=1)) == 1
+
+    def test_wav_and_container_score_same_seconds(self, tmp_path):
+        # 298 frames fit both 2 and 3 seconds; the 47,950 samples decide: 2
+        rng = np.random.default_rng(62)
+        clip = AudioClip(rng.uniform(-0.3, 0.3, 47950).astype(np.float32), 16000, "c")
+        net = models.init_bundle(models.build_aug_vggish(2), init="random", seed=63)
+        path = tmp_path / "c.csnw"
+        bundle.save_spectrogram(path, frontend.log_mel_spectrogram(clip))
+        from_wav = score_stream(net, clip, positive_class=1)
+        from_container = evaluation.score_spectrogram(net, bundle.load_spectrogram(path), 1)
+        assert len(from_wav) == len(from_container) == 2
+        np.testing.assert_allclose([s.probability for s in from_container],
+                                   [s.probability for s in from_wav], atol=1e-6)
+
+    def test_unknown_sample_count_keeps_frame_rule(self, zero_bundle):
+        spec = frontend.LogMelSpectrogram(frames=np.zeros((298, 64)))
+        assert len(evaluation.score_spectrogram(zero_bundle, spec, 1)) == 3
 
     def test_too_short_rejected(self, zero_bundle):
         with pytest.raises(TooShort):

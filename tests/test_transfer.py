@@ -185,6 +185,15 @@ class TestExtractEmbeddings:
         assert [i.clip_id for i in eset.items] == ["good"]
         assert len(errors) == 1 and errors[0][0] == "bad"
 
+    def test_programming_errors_propagate(self, embed_bundle, monkeypatch):
+        def broken(bundle, patch):
+            raise RuntimeError("bug in the forward")
+
+        monkeypatch.setattr(transfer, "forward_embedding", broken)
+        clip = frontend.AudioClip(np.zeros(16000, np.float32), 16000, "clip")
+        with pytest.raises(RuntimeError, match="bug in the forward"):
+            transfer.extract_embeddings(embed_bundle, [(clip, 0, 1)], num_classes=2)
+
     def test_items_sorted_by_clip_id(self, embed_bundle):
         rng = np.random.default_rng(35)
         clips = [
