@@ -52,6 +52,7 @@ from .models import (
     build_fcn_vggish,
     count_params,
     fold_batchnorm,
+    forward_batch,
     forward_embedding,
     forward_probs,
     init_bundle,

@@ -21,6 +21,7 @@ canonical architectures (optionally batch-norm folded) are persistable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -73,8 +74,9 @@ def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a CSNW file back into (header, name -> float32 array).
 
-    The payload is read into one buffer and every tensor is a read-only view
-    into it; manifests whose tensors overlap are rejected.
+    The whole manifest is checked before any tensor is read; manifests whose
+    tensors overlap are rejected. Each tensor is then read straight into its
+    own read-only array, so a caller can free each one on its own.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -89,21 +91,37 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         (header_len,) = struct.unpack_from("<Q", prefix, 8)
         if 16 + header_len > size:
             raise FormatError("truncated header")
-        raw_header = fh.read(header_len)
-        payload = fh.read()
-    try:
-        header = json.loads(raw_header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"header is not valid JSON: {e}") from e
-    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
-        raise FormatError("header must be a JSON object with a 'tensors' manifest")
-    declared = header.get("payload_bytes", len(payload))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"header is not valid JSON: {e}") from e
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+            raise FormatError("header must be a JSON object with a 'tensors' manifest")
+        payload_start = 16 + header_len
+        entries = _check_manifest(header, size - payload_start)
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape, offset, count in entries:
+            arr = np.empty(count, dtype="<f4")
+            fh.seek(payload_start + offset)
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise FormatError(f"tensor {name!r} was cut short while reading")
+            arr.setflags(write=False)
+            tensors[name] = arr.reshape(shape)
+    return header, tensors
+
+
+def _check_manifest(header: dict, payload_len: int) -> list[tuple[str, list, int, int]]:
+    """Validate the tensor manifest against a payload of `payload_len` bytes.
+
+    Returns (name, shape, offset, count) per tensor, in manifest order.
+    """
+    declared = header.get("payload_bytes", payload_len)
     if not isinstance(declared, int) or declared < 0:
         raise FormatError("payload_bytes must be a non-negative integer")
-    if len(payload) < declared:
-        raise FormatError(f"truncated payload: {len(payload)} of {declared} declared bytes")
-    tensors: dict[str, np.ndarray] = {}
-    spans: list[tuple[int, int, str]] = []
+    if payload_len < declared:
+        raise FormatError(f"truncated payload: {payload_len} of {declared} declared bytes")
+    names: set[str] = set()
+    entries: list[tuple[str, list, int, int]] = []
     for entry in header["tensors"]:
         if not isinstance(entry, dict):
             raise FormatError("manifest entries must be JSON objects")
@@ -115,23 +133,22 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"tensor {name!r} has unsupported dtype {dtype!r}")
         if not isinstance(offset, int) or offset < 0:
             raise FormatError(f"tensor {name!r} has invalid offset {offset!r}")
-        if name in tensors:
+        if name in names:
             raise ValidationError(f"duplicate tensor name {name!r} in manifest")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        names.add(name)
+        count = math.prod(shape)
         if offset + 4 * count > declared:
             raise ValidationError(
                 f"tensor {name!r} declares shape {shape} but the payload holds "
                 f"{max(0, (declared - offset)) // 4} values from its offset"
             )
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape)
-        if count:
-            spans.append((offset, offset + 4 * count, name))
-    spans.sort()
+        entries.append((name, shape, offset, count))
+    spans = sorted((offset, offset + 4 * count, name)
+                   for name, _, offset, count in entries if count)
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
         if start < end:
             raise ValidationError(f"tensors {first!r} and {second!r} overlap in the payload")
-    return header, tensors
+    return entries
 
 
 def _canonical_specs(arch_id: str, num_classes: int) -> tuple[ModelSpec, ModelSpec]:

@@ -3,7 +3,9 @@
 Subcommands: featurize, info, infer, detect, train-head, eval-cv.
 
 Exit codes: 0 on success, 2 on data/model errors, 64 on usage errors.
-Diagnostics go to stderr; machine-readable output goes to files or stdout.
+`featurize`, `infer` and `detect` report a bad input file on stderr, go on with
+the others and then exit 2. Diagnostics go to stderr; machine-readable output
+goes to files or stdout.
 File outputs are accompanied by a run manifest (command, resolved config,
 tool version, input digests) with the timestamp isolated in one field so
 repeated runs are byte-comparable.
@@ -25,7 +27,8 @@ from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_conta
 from .errors import SawnetError
 from .evaluation import merge_events, score_spectrogram, score_stream
 from .frontend import PATCH_FRAMES, extract_patches, log_mel_spectrogram, resample_to_16k
-from .models import count_params, forward_probs
+from .models import count_params, forward_batch
+from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
 from .wavio import decode_wav
 
@@ -107,6 +110,10 @@ def _load_spectrogram_any(path: Path):
     return spec
 
 
+def _report_failure(command: str, path: Path, error: Exception) -> None:
+    print(f"{command}: {path}: {type(error).__name__}: {error}", file=sys.stderr)
+
+
 def cmd_featurize(args) -> int:
     inputs = _collect_inputs(args.inputs, (".wav",))
     out_dir = Path(args.out_dir)
@@ -121,7 +128,7 @@ def cmd_featurize(args) -> int:
             clip = resample_to_16k(decode_wav(path.read_bytes(), source_id=path.stem))
             spec = log_mel_spectrogram(clip)
         except (SawnetError, OSError) as e:
-            print(f"featurize: {path}: {type(e).__name__}: {e}", file=sys.stderr)
+            _report_failure("featurize", path, e)
             failures += 1
             continue
         if args.format == "csv":
@@ -175,10 +182,16 @@ def cmd_infer(args) -> int:
     bundle = load_bundle(args.model)
     inputs = _collect_inputs(args.inputs, (".wav", ".csnw"))
     lines = []
+    failures = 0
     for path in inputs:
-        spec = _load_spectrogram_any(path)
-        patches = extract_patches(spec, PATCH_FRAMES, pad=True)
-        probs = np.mean([forward_probs(bundle, p) for p in patches], axis=0)
+        try:
+            spec = _load_spectrogram_any(path)
+            patches = extract_patches(spec, PATCH_FRAMES, pad=True)
+            probs = np.mean(softmax(forward_batch(bundle, patches)), axis=0)
+        except (SawnetError, OSError) as e:
+            _report_failure("infer", path, e)
+            failures += 1
+            continue
         formatted = ", ".join(f"{p:.6f}" for p in probs)
         lines.append(
             f'{{"clip_id": {json.dumps(spec.source_id)}, '
@@ -188,23 +201,29 @@ def cmd_infer(args) -> int:
     if args.out:
         _write_json(Path(args.out).with_suffix(".manifest.json"),
                     _manifest("infer", {"model": args.model}, inputs))
-    return 0
+    return _DATA_EXIT if failures else 0
 
 
 def cmd_detect(args) -> int:
     bundle = load_bundle(args.model)
     inputs = _collect_inputs(args.inputs, (".wav", ".csnw"))
     events = []
+    failures = 0
     for path in inputs:
-        with open(path, "rb") as fh:
-            is_wav = fh.read(4) == b"RIFF"
-        if is_wav:
-            clip = decode_wav(path.read_bytes(), source_id=path.stem)
-            scores = score_stream(bundle, clip, args.positive_class)
-        else:
-            spec = load_spectrogram(path)
-            scores = score_spectrogram(bundle, spec, args.positive_class,
-                                       clip_id=spec.source_id or path.stem)
+        try:
+            with open(path, "rb") as fh:
+                is_wav = fh.read(4) == b"RIFF"
+            if is_wav:
+                clip = decode_wav(path.read_bytes(), source_id=path.stem)
+                scores = score_stream(bundle, clip, args.positive_class)
+            else:
+                spec = load_spectrogram(path)
+                scores = score_spectrogram(bundle, spec, args.positive_class,
+                                           clip_id=spec.source_id or path.stem)
+        except (SawnetError, OSError) as e:
+            _report_failure("detect", path, e)
+            failures += 1
+            continue
         events.extend(merge_events(scores, args.threshold, args.gap))
     events.sort(key=lambda e: (e.clip_id, e.start_s))
     lines = [
@@ -218,7 +237,7 @@ def cmd_detect(args) -> int:
                   "positive_class": args.positive_class}
         _write_json(Path(args.out).with_suffix(".manifest.json"),
                     _manifest("detect", config, inputs))
-    return 0
+    return _DATA_EXIT if failures else 0
 
 
 def _train_config(args) -> TrainConfig:

@@ -24,7 +24,7 @@ from .frontend import (
     patch_at_frame,
     resample_to_16k,
 )
-from .models import WeightBundle, forward_logits
+from .models import WeightBundle, forward_batch
 from .nn import sigmoid, softmax
 
 FRAMES_PER_SECOND = 100  # 10 ms hop
@@ -51,15 +51,15 @@ class PRCurve:
     average_precision: float
 
 
-def _positive_probability(bundle: WeightBundle, patch, positive_class: int) -> float:
-    logits = forward_logits(bundle, patch)
-    if logits.shape[0] == 1:  # single-logit binary head
-        return sigmoid(float(logits[0]))
-    if not 0 <= positive_class < logits.shape[0]:
+def _positive_probabilities(logits: np.ndarray, positive_class: int) -> list[float]:
+    """P(positive class) per row of ``[B, K]`` logits."""
+    if logits.shape[1] == 1:  # single-logit binary head
+        return [sigmoid(float(z)) for z in logits[:, 0]]
+    if not 0 <= positive_class < logits.shape[1]:
         raise ConfigError(
-            f"positive_class {positive_class} out of range for {logits.shape[0]} classes"
+            f"positive_class {positive_class} out of range for {logits.shape[1]} classes"
         )
-    return float(softmax(logits)[positive_class])
+    return softmax(logits)[:, positive_class].tolist()
 
 
 def score_spectrogram(
@@ -71,20 +71,17 @@ def score_spectrogram(
     """One SecondScore per whole second of an already-computed spectrogram.
 
     Seconds are counted by `LogMelSpectrogram.whole_seconds`, so a clip gets
-    the same count from its WAV and from its featurized container.
+    the same count from its WAV and from its featurized container. All of a
+    clip's patches go through one `forward_batch`.
     """
     seconds = spec.whole_seconds
     if seconds < 1:
         raise TooShort(f"spectrogram {clip_id or spec.source_id!r} covers less than one second")
+    patches = [patch_at_frame(spec, s * FRAMES_PER_SECOND) for s in range(seconds)]
+    probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
     return [
-        SecondScore(
-            clip_id=clip_id or spec.source_id,
-            second_index=s,
-            probability=_positive_probability(
-                bundle, patch_at_frame(spec, s * FRAMES_PER_SECOND), positive_class
-            ),
-        )
-        for s in range(seconds)
+        SecondScore(clip_id=clip_id or spec.source_id, second_index=s, probability=p)
+        for s, p in enumerate(probabilities)
     ]
 
 

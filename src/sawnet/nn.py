@@ -1,7 +1,12 @@
 """Neural operators for forward inference, plus gradients for the dense head.
 
-Tensors are plain numpy arrays. Feature maps are channels-first ``[C, H, W]``,
-row-major; vectors are 1-D. Every operator accumulates in float64 and casts
+Tensors are plain numpy arrays. Feature maps are channels-first: one map is
+``[C, H, W]`` and a batch of maps is ``[B, C, H, W]``; vectors are ``[K]`` and a
+batch of vectors is ``[B, K]``. Every map and vector operator takes either form
+and treats the items of a batch independently: a batch gives per item what
+single calls give, up to the last-bit rounding of a differently blocked matrix
+product. A conv returns channels-first views of channels-last memory (its
+matrix product's row order). Every operator accumulates in float64 and casts
 the result back to the promoted dtype of its inputs and parameters, so float32
 inputs with float32 parameters stay float32 without losing digits in long
 reductions.
@@ -9,8 +14,11 @@ reductions.
 Parameter objects hold read-only views of the arrays they are given, never
 copies, and prepare what every call needs once at construction: a conv keeps
 its kernels as an ``[out, in*k*k]`` matrix, a batch norm its per-channel scale
-and shift. `models.WeightBundle` hands them read-only float64 arrays, so a
-network forward casts no weight (and its activations are float64).
+and shift. They reject non-finite values unless built with
+``assume_finite=True`` by a caller that has already scanned them.
+`models.WeightBundle` does so, scanning the float32 source once before its
+cast, and hands them read-only float64 arrays, so a network forward casts no
+weight (and its activations are float64).
 
 Only the dense head has a backward path (`cross_entropy_grad` plus the
 closed-form dense gradient assembled by the training loop); convolution and
@@ -19,19 +27,19 @@ batch norm are inference-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
 
 
-def _readonly(a, name: str) -> np.ndarray:
+def _readonly(a, name: str, check_finite: bool = True) -> np.ndarray:
     """A read-only view of `a` (integer input is converted to float32)."""
     arr = np.asarray(a)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float32)
-    if not np.all(np.isfinite(arr)):
+    if check_finite and not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite values")
     arr = arr.view()
     arr.setflags(write=False)
@@ -48,11 +56,13 @@ class ConvParams:
 
     kernels: np.ndarray
     bias: np.ndarray
+    assume_finite: InitVar[bool] = False
     kmat: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "kernels", _readonly(self.kernels, "kernels"))
-        object.__setattr__(self, "bias", _readonly(self.bias, "bias"))
+    def __post_init__(self, assume_finite):
+        check = not assume_finite
+        object.__setattr__(self, "kernels", _readonly(self.kernels, "kernels", check))
+        object.__setattr__(self, "bias", _readonly(self.bias, "bias", check))
         if self.kernels.ndim != 4:
             raise ShapeError(f"kernels must be 4-D, got shape {self.kernels.shape}")
         out_ch, _, kh, kw = self.kernels.shape
@@ -86,12 +96,13 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     epsilon: float = 1e-5
+    assume_finite: InitVar[bool] = False
     scale: np.ndarray = field(init=False, repr=False, compare=False)
     shift: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, assume_finite):
         for name in ("gamma", "beta", "running_mean", "running_var"):
-            object.__setattr__(self, name, _readonly(getattr(self, name), name))
+            object.__setattr__(self, name, _readonly(getattr(self, name), name, not assume_finite))
         c = self.gamma.shape
         if len(c) != 1:
             raise ShapeError("batch-norm parameters must be 1-D per-channel vectors")
@@ -119,13 +130,15 @@ class DenseParams:
 
     weights: np.ndarray
     bias: np.ndarray = field(default=None)  # type: ignore[assignment]
+    assume_finite: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _readonly(self.weights, "weights"))
+    def __post_init__(self, assume_finite):
+        check = not assume_finite
+        object.__setattr__(self, "weights", _readonly(self.weights, "weights", check))
         if self.weights.ndim != 2:
             raise ShapeError(f"weights must be 2-D, got shape {self.weights.shape}")
         bias = np.zeros(self.weights.shape[0]) if self.bias is None else self.bias
-        object.__setattr__(self, "bias", _readonly(bias, "bias"))
+        object.__setattr__(self, "bias", _readonly(bias, "bias", check))
         if self.bias.shape != (self.weights.shape[0],):
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match weights {self.weights.shape}"
@@ -140,10 +153,11 @@ class DenseParams:
         return self.weights.shape[1]
 
 
-def _check_chw(x: np.ndarray, op: str) -> np.ndarray:
+def _check_maps(x: np.ndarray, op: str) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"{op} expects a [C, H, W] tensor, got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"{op} expects a [C, H, W] map or a [B, C, H, W] batch, "
+                         f"got shape {x.shape}")
     return x
 
 
@@ -152,31 +166,41 @@ def _cast_back(result64: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
 
 
 def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Stride-1 'same' 2-D convolution: ``[C_in, H, W] -> [C_out, H, W]``.
+    """Stride-1 'same' 2-D convolution: ``[(B,) C_in, H, W] -> [(B,) C_out, H, W]``.
 
     Zero padding keeps the spatial size; out-of-range taps contribute 0.
-    Implemented as im2col + one matmul with float64 accumulation.
+    Implemented as im2col + matmul with float64 accumulation. The im2col
+    matrix is gathered in source order, ``[C_in*k*k, items*H*W]``, so the copy
+    moves whole rows of W; the product runs on its transpose. Items of a batch
+    share one product only while the kernel matrix outweighs their im2col
+    block, so a batch never holds more im2col than the larger of the kernels
+    and one item's block.
     """
-    x = _check_chw(x, "conv2d_same")
-    c, h, w = x.shape
+    x = _check_maps(x, "conv2d_same")
+    batch = (x if x.ndim == 4 else x[None]).astype(np.float64, copy=False)
+    b, c, h, w = batch.shape
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernels expect {p.in_channels}")
     k = p.kernels.shape[2]
     pad = k // 2
-    xp = np.pad(x.astype(np.float64, copy=False), ((0, 0), (pad, pad), (pad, pad)))
-    # [C, H, W, k, k] -> [H*W, C*k*k]
-    cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = cols.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
-    out = cols @ p.kmat.T + p.bias
-    out = out.T.reshape(p.out_channels, h, w)
-    return _cast_back(out, x, p.kernels)
+    step = max(1, p.kmat.nbytes // (c * k * k * h * w * batch.itemsize))
+    out = np.empty((b * h * w, p.out_channels))
+    for i in range(0, b, step):
+        xp = np.pad(batch[i:i + step], ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # [m, C, H, W, k, k] -> [C, k, k, m, H, W] -> [C*k*k, m*H*W]
+        cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
+        np.matmul(cols.T, p.kmat.T, out=out[i * h * w:i * h * w + cols.shape[1]])
+    out += p.bias
+    out = out.reshape(b, h, w, p.out_channels).transpose(0, 3, 1, 2)
+    return _cast_back(out if x.ndim == 4 else out[0], x, p.kernels)
 
 
 def batchnorm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``."""
-    x = _check_chw(x, "batchnorm_infer")
-    if x.shape[0] != p.channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, batch norm expects {p.channels}")
+    x = _check_maps(x, "batchnorm_infer")
+    if x.shape[-3] != p.channels:
+        raise ShapeError(f"input has {x.shape[-3]} channels, batch norm expects {p.channels}")
     out = x.astype(np.float64, copy=False) * p.scale[:, None, None] + p.shift[:, None, None]
     return _cast_back(out, x, p.gamma)
 
@@ -188,40 +212,44 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def maxpool_2x2(x: np.ndarray) -> np.ndarray:
     """2x2 max pooling with stride 2; a trailing odd row/column is dropped."""
-    x = _check_chw(x, "maxpool_2x2")
-    c, h, w = x.shape
+    x = _check_maps(x, "maxpool_2x2")
+    h, w = x.shape[-2:]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool_2x2 needs H, W >= 2, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    blocks = x[:, : 2 * h2, : 2 * w2].reshape(c, h2, 2, w2, 2)
-    return blocks.max(axis=(2, 4))
+    blocks = x[..., : 2 * h2, : 2 * w2].reshape(*x.shape[:-2], h2, 2, w2, 2)
+    return blocks.max(axis=(-3, -1))
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Spatial mean per channel: ``[C, H, W] -> [C]``."""
-    x = _check_chw(x, "global_avg_pool")
-    out = x.mean(axis=(1, 2), dtype=np.float64)
+    """Spatial mean per channel: ``[(B,) C, H, W] -> [(B,) C]``."""
+    x = _check_maps(x, "global_avg_pool")
+    out = x.mean(axis=(-2, -1), dtype=np.float64)
     return _cast_back(out, x)
 
 
 def dense(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Affine map ``W @ x + b`` on a 1-D input."""
+    """Affine map ``W @ x + b`` on a ``[K]`` vector or on each row of ``[B, K]``."""
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeError(f"dense expects a 1-D input, got shape {x.shape}")
-    if x.shape[0] != p.in_units:
-        raise ShapeError(f"input length {x.shape[0]} does not match {p.in_units} units")
-    out = p.weights @ x.astype(np.float64, copy=False) + p.bias
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"dense expects a [K] or [B, K] input, got shape {x.shape}")
+    if x.shape[-1] != p.in_units:
+        raise ShapeError(f"input length {x.shape[-1]} does not match {p.in_units} units")
+    x64 = x.astype(np.float64, copy=False)
+    out = (p.weights @ x64 if x.ndim == 1 else x64 @ p.weights.T) + p.bias
     return _cast_back(out, x, p.weights)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax, float64 output; stable for |z| up to ~1e4."""
+    """Max-shifted softmax of a ``[K]`` vector or of each row of ``[B, K]``.
+
+    Float64 output; stable for |z| up to ~1e4.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size < 1:
-        raise ShapeError(f"softmax expects a non-empty 1-D tensor, got shape {z.shape}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    if z.ndim not in (1, 2) or z.shape[-1] < 1:
+        raise ShapeError(f"softmax expects non-empty [K] or [B, K] logits, got shape {z.shape}")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(logit: float) -> float:

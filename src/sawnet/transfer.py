@@ -22,7 +22,7 @@ from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
 from .frontend import AudioClip, extract_patches, log_mel_spectrogram, resample_to_16k
 from .models import WeightBundle, forward_embedding
-from .nn import DenseParams, softmax
+from .nn import DenseParams, dense, softmax
 
 PATCH_HOP_FRAMES = 96  # non-overlapping 0.96 s patches per clip
 
@@ -115,12 +115,11 @@ def extract_embeddings(
         try:
             resampled = resample_to_16k(clip)
             patches = extract_patches(log_mel_spectrogram(resampled), PATCH_HOP_FRAMES, pad=True)
-            vectors = [forward_embedding(bundle, p).values for p in patches]
             rows.append(EmbeddingItem(
                 clip_id=clip.source_id,
                 fold=int(fold),
                 label=int(label),
-                vector=np.mean(vectors, axis=0),
+                vector=forward_embedding(bundle, patches).values.mean(axis=0),
             ))
             labels_seen.append(int(label))
         except SawnetError as e:  # per-clip failure policy; bugs propagate
@@ -138,12 +137,6 @@ def _design_matrix(eset: EmbeddingSet) -> tuple[np.ndarray, np.ndarray, list[str
     x = np.stack([i.vector for i in items]).astype(np.float64)
     y = np.array([i.label for i in items], dtype=np.int64)
     return x, y, [i.clip_id for i in items]
-
-
-def _batch_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
@@ -167,7 +160,7 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
-            probs = _batch_softmax(xb @ w.T + b)
+            probs = softmax(xb @ w.T + b)
             probs[np.arange(len(idx)), yb] -= 1.0
             probs /= len(idx)
             w -= cfg.learning_rate * (probs.T @ xb + cfg.l2 * w)
@@ -189,18 +182,14 @@ def evaluate_head(params: DenseParams, eset: EmbeddingSet) -> tuple[float, float
     """Score a head on a set: (accuracy, macro F1, per-clip scores)."""
     if not eset.items:
         raise ConfigError("evaluation set is empty")
-    scores = []
-    for item in sorted(eset.items, key=lambda i: i.clip_id):
-        probs = softmax(params.weights @ item.vector.astype(np.float64, copy=False)
-                        + params.bias)
-        scores.append(ClipScore(
-            clip_id=item.clip_id,
-            predicted=int(np.argmax(probs)),
-            true=item.label,
-            probabilities=probs,
-        ))
+    x, y, clip_ids = _design_matrix(eset)
+    probs = softmax(dense(x, params))
+    scores = tuple(
+        ClipScore(clip_id=c, predicted=int(np.argmax(p)), true=int(t), probabilities=p)
+        for c, t, p in zip(clip_ids, y, probs)
+    )
     accuracy, macro_f1 = accuracy_f1([(s.predicted, s.true) for s in scores], eset.num_classes)
-    return accuracy, macro_f1, tuple(scores)
+    return accuracy, macro_f1, scores
 
 
 def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResult], float]:

@@ -1,8 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sawnet
 from sawnet import frontend, models
 from sawnet.wavio import encode_wav
+
+# the child process imports the same sawnet as the tests, installed or not
+_CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(sawnet.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
+def run_cli(*args, cwd=None):
+    """Run ``python -m sawnet`` with `args`, capturing text output."""
+    return subprocess.run(
+        [sys.executable, "-m", "sawnet", *map(str, args)],
+        capture_output=True, text=True, cwd=cwd, env=_CLI_ENV,
+    )
 
 
 def sine_clip(freq_hz: float, duration_s: float, sample_rate: int = 16000,

@@ -7,8 +7,6 @@ asserted alongside the functional checks.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_bn_stats
+from conftest import random_bn_stats, run_cli
 from sawnet import bundle, evaluation, frontend, models, nn, transfer
 from sawnet.errors import FormatError, ValidationError
 from sawnet.wavio import encode_wav
@@ -269,9 +267,7 @@ def test_c10_end_to_end_smoke(tmp_path):
             models.init_bundle(models.build_aug_vggish(2), init="random", seed=1001),
             model_path)
 
-        def run(*args):
-            return subprocess.run([sys.executable, "-m", "sawnet", *map(str, args)],
-                                  capture_output=True, text=True)
+        run = run_cli
 
         feat_dir = tmp_path / "features"
         featurize = run("featurize", wav_path, "--out-dir", feat_dir)

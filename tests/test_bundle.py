@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,33 @@ class TestPreparedWeights:
             if emb.ndim == 3:
                 emb = nn.global_avg_pool(emb)
             assert np.array_equal(models.forward_embedding(loaded, patch).values, emb)
+
+
+class TestLoadMemory:
+    @pytest.fixture(params=["aug_bundle_small", "fcn_bundle_small"])
+    def saved(self, request, tmp_path):
+        path = tmp_path / "model.csnw"
+        bundle.save_bundle(request.getfixturevalue(request.param), path)
+        return path
+
+    def test_read_tensors_are_read_only(self, saved):
+        _, tensors = bundle.read_container(saved)
+        for arr in tensors.values():
+            assert arr.dtype == np.float32
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_load_peaks_near_two_and_a_half_file_sizes(self, saved):
+        bundle.load_bundle(saved)
+        tracemalloc.start()
+        try:
+            bundle.load_bundle(saved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float64 weights (2x) plus the largest float32 tensor still to be cast;
+        # a whole float32 copy of the file alive until the last cast made it 3x
+        assert peak < 2.6 * saved.stat().st_size
 
 
 class TestFuzzedInput:

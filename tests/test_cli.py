@@ -2,23 +2,14 @@
 
 import json
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import sine_clip
+from conftest import run_cli, sine_clip
 from sawnet import models, transfer
 from sawnet.bundle import save_bundle
 from sawnet.wavio import encode_wav
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "sawnet", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +165,36 @@ class TestDetect:
         assert result.returncode == 0
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert manifest["config"]["threshold"] == 0.4
+
+
+@pytest.fixture()
+def mixed_inputs(tmp_path, wav_dir):
+    """Two good inputs around a corrupt WAV and a missing file."""
+    broken = tmp_path / "broken.wav"
+    broken.write_bytes(b"RIFF" + bytes(40))
+    return [wav_dir / "silent10.wav", broken, tmp_path / "missing.wav", wav_dir / "tone.wav"]
+
+
+class TestPerFileFailures:
+    def test_infer_reports_bad_files_and_keeps_good_rows(self, model_dir, mixed_inputs):
+        result = run_cli("infer", "--model", model_dir / "rand4.csnw", *mixed_inputs)
+        assert result.returncode == 2
+        rows = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [r["clip_id"] for r in rows] == ["silent10", "tone"]
+        assert "broken.wav: DecodeError" in result.stderr
+        assert "missing.wav: FileNotFoundError" in result.stderr
+
+    def test_detect_reports_bad_files_and_keeps_good_events(self, tmp_path, model_dir,
+                                                            mixed_inputs):
+        out = tmp_path / "events.jsonl"
+        result = run_cli("detect", "--model", model_dir / "zero2.csnw", "--threshold", "0.4",
+                         "--out", out, *mixed_inputs)
+        assert result.returncode == 2
+        events = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [e["clip_id"] for e in events] == ["silent10", "tone"]
+        assert "broken.wav: DecodeError" in result.stderr
+        assert "missing.wav: FileNotFoundError" in result.stderr
+        assert out.with_suffix(".manifest.json").exists()
 
 
 class TestInfer:

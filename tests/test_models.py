@@ -1,7 +1,11 @@
 """Architecture structure, parameter counting, forwards, and BN folding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_patch
 from sawnet import models
@@ -192,3 +196,79 @@ class TestBundleValidation:
                                 embedding_layer="gap", embedding_dim=8)
         with pytest.raises(ValidationError):
             models.init_bundle(spec, init="zeros")
+
+
+@pytest.fixture(scope="module")
+def aug_folded_small(aug_bundle_small):
+    return models.fold_batchnorm(aug_bundle_small)
+
+
+class TestForwardBatch:
+    """One forward path for one patch or many: `forward_batch` against single patches."""
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "aug_folded_small", "fcn_bundle_small"])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6))
+    def test_matches_single_patch_forwards(self, request, name, seeds):
+        bundle = request.getfixturevalue(name)
+        patches = [random_patch(s) for s in seeds]
+        emb = bundle.spec.embedding_layer
+        logits = models.forward_batch(bundle, patches)
+        embeddings = models.forward_batch(bundle, patches, stop_after=emb)
+        assert logits.shape == (len(patches), bundle.spec.num_classes)
+        for i, patch in enumerate(patches):
+            x = patch.values[None, :, :]
+            np.testing.assert_allclose(logits[i], models.run_layers(bundle, x),
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(embeddings[i], models.run_layers(bundle, x, emb),
+                                       rtol=0, atol=1e-9)
+        # the whole list in one run_layers call, whatever batch_size says
+        stacked = np.stack([p.values for p in patches])[:, None]
+        np.testing.assert_allclose(models.run_layers(bundle, stacked), logits,
+                                   rtol=0, atol=1e-9)
+
+    def test_batch_size_rule(self, aug_bundle_small, aug_folded_small, fcn_bundle_small):
+        assert models.batch_size(aug_bundle_small) == 1
+        assert models.batch_size(aug_folded_small) == 1
+        assert models.batch_size(fcn_bundle_small) > 1
+        assert models.batch_size(models.fold_batchnorm(fcn_bundle_small)) > 1
+
+    def test_batched_embeddings(self, fcn_bundle_small):
+        patches = [random_patch(s) for s in range(5)]
+        batched = models.forward_embedding(fcn_bundle_small, patches).values
+        assert batched.shape == (5, 1024)
+        for row, patch in zip(batched, patches):
+            np.testing.assert_allclose(
+                row, models.forward_embedding(fcn_bundle_small, patch).values, rtol=0, atol=1e-9)
+
+    def test_unbatched_memory_stays_flat(self, aug_bundle_small):
+        patches = [random_patch(s) for s in range(30)]
+        models.forward_batch(aug_bundle_small, patches[:1])  # first-call allocations
+        peaks = []
+        for chunk in (patches[:1], patches):
+            tracemalloc.start()
+            try:
+                models.forward_batch(aug_bundle_small, chunk)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_empty_and_malformed_input_rejected(self, aug_bundle_small):
+        with pytest.raises(ValidationError):
+            models.forward_batch(aug_bundle_small, [])
+        for shape in ((96, 64), (1, 1, 1, 96, 64)):
+            with pytest.raises(ValidationError):
+                models.run_layers(aug_bundle_small, np.zeros(shape))
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("key", ["conv2/kernels", "bn3/var", "fc1/bias"])
+    def test_validation_rejects(self, key):
+        bundle = models.init_bundle(models.build_aug_vggish(2), init="zeros")
+        bad = np.array(bundle.params[key], dtype=np.float32)
+        bad.flat[0] = np.nan
+        bundle.params[key] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            bundle.validate()

@@ -268,3 +268,74 @@ class TestCrossEntropyGrad:
     def test_out_of_range_class(self):
         with pytest.raises(IndexError):
             nn.cross_entropy_grad(np.zeros(3), 3)
+
+
+class TestBatchedOperators:
+    """A [B, ...] batch gives per item what one call per [C, H, W] map or [K] vector gives."""
+
+    B = 5
+
+    @staticmethod
+    def per_item(op, batch):
+        return np.stack([op(item) for item in batch])
+
+    @pytest.mark.parametrize("out_ch", [4, 64])  # one item per product / three, then two
+    def test_conv2d_same(self, out_ch):
+        rng = np.random.default_rng(60)
+        x = rng.normal(0, 1, (self.B, 3, 4, 5))
+        kernels = rng.normal(0, 1, (out_ch, 3, 3, 3))
+        bias = rng.normal(0, 1, out_ch)
+        params = nn.ConvParams(kernels, bias)
+        got = nn.conv2d_same(x, params)
+        assert got.shape == (self.B, out_ch, 4, 5)
+        np.testing.assert_allclose(got, self.per_item(lambda m: nn.conv2d_same(m, params), x),
+                                   rtol=0, atol=1e-12)
+        want = np.stack([conv2d_reference(m, kernels, bias) for m in x])
+        assert np.abs(got - want).max() < 1e-9
+
+    def test_batchnorm_infer(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(0, 1, (self.B, 3, 4, 4))
+        params = nn.BatchNormParams(rng.uniform(0.5, 1.5, 3), rng.normal(0, 1, 3),
+                                    rng.normal(0, 1, 3), rng.uniform(0.2, 2.0, 3))
+        np.testing.assert_array_equal(
+            nn.batchnorm_infer(x, params),
+            self.per_item(lambda m: nn.batchnorm_infer(m, params), x))
+
+    @pytest.mark.parametrize("op", [nn.relu, nn.maxpool_2x2, nn.global_avg_pool])
+    def test_parameterless_map_operators(self, op):
+        x = np.random.default_rng(62).normal(0, 1, (self.B, 3, 6, 5))
+        np.testing.assert_array_equal(op(x), self.per_item(op, x))
+
+    def test_dense(self):
+        rng = np.random.default_rng(63)
+        x = rng.normal(0, 1, (self.B, 7))
+        params = nn.DenseParams(rng.normal(0, 1, (4, 7)), rng.normal(0, 1, 4))
+        np.testing.assert_allclose(nn.dense(x, params),
+                                   self.per_item(lambda v: nn.dense(v, params), x),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_softmax(self):
+        z = np.random.default_rng(64).normal(0, 10, (self.B, 6))
+        np.testing.assert_array_equal(nn.softmax(z), self.per_item(nn.softmax, z))
+
+    @pytest.mark.parametrize("op", [nn.batchnorm_infer, nn.maxpool_2x2, nn.global_avg_pool])
+    def test_other_ranks_rejected(self, op):
+        args = (nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)),) \
+            if op is nn.batchnorm_infer else ()
+        for shape in ((2, 4), (1, 1, 2, 4, 4)):
+            with pytest.raises(ShapeError):
+                op(np.zeros(shape), *args)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_direct_construction_rejects(self, bad):
+        kernels = np.zeros((1, 1, 3, 3))
+        kernels[0, 0, 1, 1] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            nn.ConvParams(kernels, np.zeros(1))
+        with pytest.raises(ShapeError, match="non-finite"):
+            nn.BatchNormParams(np.ones(2), np.array([0.0, bad]), np.zeros(2), np.ones(2))
+        with pytest.raises(ShapeError, match="non-finite"):
+            nn.DenseParams(np.zeros((2, 2)), np.array([bad, 0.0]))

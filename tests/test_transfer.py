@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sawnet import frontend, models, transfer
+from conftest import random_bn_stats
+from sawnet import evaluation, frontend, models, nn, transfer
 from sawnet.errors import ConfigError, ParseError, ValidationError
 from sawnet.nn import DenseParams
 
@@ -138,6 +139,27 @@ class TestRunCV:
             transfer.run_cv(eset, 5, transfer.TrainConfig(epochs=1))
 
 
+class TestBatchedHead:
+    """`evaluate_head` scores a whole set at once; the per-clip loop is the reference."""
+
+    def test_evaluate_head_matches_per_clip_loop(self):
+        eset = synthetic_set(num_classes=6, per_class=15, dim=12, folds=3, seed=40, noise=1.2)
+        params = transfer.train_head(eset.subset(lambda i: i.fold != 1),
+                                     transfer.TrainConfig(epochs=4, seed=41))
+        held_out = eset.subset(lambda i: i.fold == 1)
+        accuracy, macro_f1, scores = transfer.evaluate_head(params, held_out)
+        reference = []
+        for item in sorted(held_out.items, key=lambda i: i.clip_id):
+            probs = nn.softmax(params.weights @ item.vector + params.bias)
+            reference.append((item.clip_id, int(np.argmax(probs)), item.label, probs))
+        assert [(s.clip_id, s.predicted, s.true) for s in scores] == \
+            [r[:3] for r in reference]
+        for score, (*_, probs) in zip(scores, reference):
+            np.testing.assert_allclose(score.probabilities, probs, rtol=0, atol=1e-12)
+        want = evaluation.accuracy_f1([(r[1], r[2]) for r in reference], eset.num_classes)
+        assert (accuracy, macro_f1) == want
+
+
 @pytest.fixture(scope="module")
 def embed_bundle():
     return models.init_bundle(models.build_aug_vggish(4), init="random", seed=30)
@@ -156,6 +178,19 @@ class TestExtractEmbeddings:
         assert len(patches) == 5
         manual = np.mean([models.forward_embedding(embed_bundle, p).values for p in patches], axis=0)
         np.testing.assert_array_equal(eset.items[0].vector, manual)
+
+    def test_batched_fcn_clip_matches_single_patches(self):
+        bundle = random_bn_stats(
+            models.init_bundle(models.build_fcn_vggish(2), init="random", seed=36), seed=37)
+        assert models.batch_size(bundle) < 5  # the clip's patches span two chunks
+        clip = frontend.AudioClip(
+            np.random.default_rng(38).uniform(-0.3, 0.3, 80000).astype(np.float32),
+            16000, "clip-f")
+        eset, errors = transfer.extract_embeddings(bundle, [(clip, 0, 1)], num_classes=2)
+        assert not errors
+        patches = frontend.extract_patches(frontend.log_mel_spectrogram(clip), 96, pad=True)
+        manual = np.mean([models.forward_embedding(bundle, p).values for p in patches], axis=0)
+        np.testing.assert_allclose(eset.items[0].vector, manual, rtol=0, atol=1e-9)
 
     def test_one_second_clip_single_patch(self, embed_bundle):
         rng = np.random.default_rng(32)
