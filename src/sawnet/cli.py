@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_container
 from .errors import SawnetError
-from .evaluation import merge_events, score_spectrogram, score_stream
+from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
 from .frontend import PATCH_FRAMES, extract_patches, log_mel_spectrogram, resample_to_16k
 from .models import count_params, forward_batch
 from .nn import softmax
@@ -206,6 +206,7 @@ def cmd_infer(args) -> int:
 
 def cmd_detect(args) -> int:
     bundle = load_bundle(args.model)
+    check_positive_class(args.positive_class, bundle.spec.num_classes)
     inputs = _collect_inputs(args.inputs, (".wav", ".csnw"))
     events = []
     failures = 0

@@ -51,14 +51,20 @@ class PRCurve:
     average_precision: float
 
 
+def check_positive_class(positive_class: int, num_classes: int) -> None:
+    """Reject a positive class outside ``[0, num_classes)``; a single-logit
+    binary head (``num_classes == 1``) ignores it."""
+    if num_classes > 1 and not 0 <= positive_class < num_classes:
+        raise ConfigError(
+            f"positive_class {positive_class} out of range for {num_classes} classes"
+        )
+
+
 def _positive_probabilities(logits: np.ndarray, positive_class: int) -> list[float]:
     """P(positive class) per row of ``[B, K]`` logits."""
+    check_positive_class(positive_class, logits.shape[1])
     if logits.shape[1] == 1:  # single-logit binary head
         return [sigmoid(float(z)) for z in logits[:, 0]]
-    if not 0 <= positive_class < logits.shape[1]:
-        raise ConfigError(
-            f"positive_class {positive_class} out of range for {logits.shape[1]} classes"
-        )
     return softmax(logits)[:, positive_class].tolist()
 
 

@@ -365,16 +365,19 @@ def _largest_activation(spec: ModelSpec, height: int, width: int) -> int:
     return largest
 
 
-def batch_size(bundle: WeightBundle,
-               patch_shape: tuple[int, int] = (PATCH_FRAMES, NUM_MEL_BANDS)) -> int:
+def batch_size(bundle: WeightBundle) -> int:
     """Patches per `run_layers` call in `forward_batch`.
 
     ``max(1, weight bytes // (10 * activation bytes))``, where the activation
-    is the largest float64 layer output of one patch: 1 for aug_vggish, 4 for
-    fcn_vggish.
+    is the largest float64 layer output of one 96x64 patch: 1 for aug_vggish,
+    4 for fcn_vggish. Within a call, `nn.conv2d_same` splits the batch again
+    per layer, so that a layer's patches share one product only while its
+    kernels outweigh their im2col block; the two rules together decide how
+    patches share the weight passes.
     """
     weight_bytes = sum(a.nbytes for a in bundle.params.values())
-    activation_bytes = _largest_activation(bundle.spec, *patch_shape) * np.float64().itemsize
+    activation_bytes = (_largest_activation(bundle.spec, PATCH_FRAMES, NUM_MEL_BANDS)
+                        * np.float64().itemsize)
     return max(1, weight_bytes // (_WEIGHTS_PER_ACTIVATION * activation_bytes))
 
 
@@ -388,7 +391,7 @@ def forward_batch(bundle: WeightBundle, patches: Sequence[LogMelPatch],
     """
     if not patches:
         raise ValidationError("forward_batch needs at least one patch")
-    n = batch_size(bundle, patches[0].values.shape)
+    n = batch_size(bundle)
     outs = [run_layers(bundle, np.stack([p.values for p in patches[i:i + n]])[:, None],
                        stop_after)
             for i in range(0, len(patches), n)]

@@ -174,7 +174,8 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     moves whole rows of W; the product runs on its transpose. Items of a batch
     share one product only while the kernel matrix outweighs their im2col
     block, so a batch never holds more im2col than the larger of the kernels
-    and one item's block.
+    and one item's block. This split works with `models.batch_size`, which
+    picks how many patches reach this operator together.
     """
     x = _check_maps(x, "conv2d_same")
     batch = (x if x.ndim == 4 else x[None]).astype(np.float64, copy=False)

@@ -196,6 +196,16 @@ class TestPerFileFailures:
         assert "missing.wav: FileNotFoundError" in result.stderr
         assert out.with_suffix(".manifest.json").exists()
 
+    def test_detect_rejects_bad_positive_class_once(self, tmp_path, model_dir,
+                                                    mixed_inputs):
+        out = tmp_path / "events.jsonl"
+        result = run_cli("detect", "--model", model_dir / "zero2.csnw", "--positive-class",
+                         "2", "--out", out, *mixed_inputs)
+        assert result.returncode == 2
+        assert result.stderr.count("ConfigError") == 1
+        assert "positive_class 2 out of range for 2 classes" in result.stderr
+        assert not out.exists()
+
 
 class TestInfer:
     def test_json_lines_output(self, model_dir, wav_dir):
