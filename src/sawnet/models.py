@@ -323,9 +323,11 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
 
     One operator call per layer, whatever the batch size. `stop_after` names
     a layer; its output (after any ReLU it owns) is returned and the
-    remaining layers are skipped.
+    remaining layers are skipped. Batch norm and ReLU overwrite the float64
+    intermediates this function made, never the caller's `x`, so a step
+    holds one copy of its map instead of three.
     """
-    x = np.asarray(x)
+    x = inp = np.asarray(x)
     if x.ndim not in (3, 4):
         raise ValidationError(
             f"network input must be [C, H, W] or [B, C, H, W], got shape {x.shape}")
@@ -333,7 +335,7 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
         if layer.kind == "conv":
             x = nn.conv2d_same(x, bundle._objs[layer.name])
         elif layer.kind == "batchnorm":
-            x = nn.batchnorm_infer(x, bundle._objs[layer.name])
+            x = nn.batchnorm_infer(x, bundle._objs[layer.name], out=_scratch(x, inp))
         elif layer.kind == "maxpool":
             x = nn.maxpool_2x2(x)
         elif layer.kind == "global_avg_pool":
@@ -341,12 +343,18 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
         elif layer.kind == "dense":
             x = nn.dense(x, bundle._objs[layer.name])
         if layer.relu:
-            x = nn.relu(x)
+            x = nn.relu(x, out=_scratch(x, inp))
         if layer.name == stop_after:
             return x
     if stop_after is not None:
         raise ValidationError(f"no layer named {stop_after!r}")
     return x
+
+
+def _scratch(x: np.ndarray, inp: np.ndarray) -> np.ndarray | None:
+    """`x` as an in-place target: an intermediate of `run_layers` (every
+    operator returns a new array) in the float64 of the bundle's weights."""
+    return None if x is inp or x.dtype != np.float64 else x
 
 
 def _largest_activation(spec: ModelSpec, height: int, width: int) -> int:

@@ -197,18 +197,40 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     return _cast_back(out if x.ndim == 4 else out[0], x, p.kernels)
 
 
-def batchnorm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``."""
+def _check_out(out: np.ndarray, shape: tuple, dtype, op: str) -> None:
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"{op}: out must be a {np.dtype(dtype)} array of shape {shape}")
+
+
+def batchnorm_infer(x: np.ndarray, p: BatchNormParams, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``.
+
+    `out`, numpy-style, receives the result and is returned; it must have the
+    result's shape and dtype and may be `x` itself. The values are those of a
+    call without it.
+    """
     x = _check_maps(x, "batchnorm_infer")
     if x.shape[-3] != p.channels:
         raise ShapeError(f"input has {x.shape[-3]} channels, batch norm expects {p.channels}")
-    out = x.astype(np.float64, copy=False) * p.scale[:, None, None] + p.shift[:, None, None]
-    return _cast_back(out, x, p.gamma)
+    scale, shift = p.scale[:, None, None], p.shift[:, None, None]
+    if out is None:
+        return _cast_back(x.astype(np.float64, copy=False) * scale + shift, x, p.gamma)
+    _check_out(out, x.shape, np.result_type(x, p.gamma), "batchnorm_infer")
+    if out.dtype == np.float64:
+        np.multiply(x, scale, out=out)
+        out += shift
+    else:  # round once, from the float64 result
+        out[...] = x.astype(np.float64) * scale + shift
+    return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``max(x, 0)``."""
-    return np.maximum(np.asarray(x), 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise ``max(x, 0)``; `out` as in `batchnorm_infer`."""
+    x = np.asarray(x)
+    if out is not None:
+        _check_out(out, x.shape, x.dtype, "relu")
+    return np.maximum(x, 0, out=out)
 
 
 def maxpool_2x2(x: np.ndarray) -> np.ndarray:
@@ -253,6 +275,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-shifted log-softmax of a ``[K]`` vector or of each row of ``[B, K]``.
+
+    Float64 output: ``z - max(z) - log(sum(exp(z - max(z))))``.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim not in (1, 2) or z.shape[-1] < 1:
+        raise ShapeError(
+            f"log_softmax expects non-empty [K] or [B, K] logits, got shape {z.shape}")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def sigmoid(logit: float) -> float:
     """Logistic function ``1 / (1 + exp(-z))``, stable for large |z|."""
     z = float(logit)
@@ -274,9 +309,7 @@ def cross_entropy_grad(logits: np.ndarray, true_class: int) -> tuple[float, np.n
     k = z.shape[0]
     if not 0 <= true_class < k:
         raise IndexError(f"true_class {true_class} out of range for {k} classes")
-    shifted = z - z.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[true_class])
+    loss = -float(log_softmax(z)[true_class])
     grad = softmax(z)
     grad[true_class] -= 1.0
     return loss, grad

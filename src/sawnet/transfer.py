@@ -11,6 +11,7 @@ order.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -22,7 +23,7 @@ from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
 from .frontend import AudioClip, extract_patches, log_mel_spectrogram, resample_to_16k
 from .models import WeightBundle, forward_embedding
-from .nn import DenseParams, dense, softmax
+from .nn import DenseParams, dense, log_softmax, softmax
 
 PATCH_HOP_FRAMES = 96  # non-overlapping 0.96 s patches per clip
 
@@ -71,13 +72,14 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self):
-        # learning_rate 0 is allowed as an explicit no-op (probe runs)
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        # learning_rate 0 is allowed as an explicit no-op (probe runs);
+        # NaN fails every comparison, so finiteness is checked explicitly
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass(frozen=True)
@@ -145,36 +147,44 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
     Objective: mean cross-entropy plus (l2/2)*||W||^2; biases are not
     regularized. Weights start uniform in +-sqrt(6 / (fan_in + fan_out)),
     biases at zero. Returns the parameters after the final epoch.
+
+    Each step is w <- (1 - lr*l2)*w - lr*dCE/dw and b <- b - lr*dCE/db, the
+    plain SGD step on that objective with its L2 term written as a decay: the
+    weights decay in place, lr scales the small [batch, classes] error before
+    the weight gradient is formed, and that gradient goes into one buffer
+    reused by every step. Up to rounding (about 1e-14 on the weights) this is
+    w <- w - lr*(dCE/dw + l2*w); the objective is unchanged.
     """
     if not train.items:
         raise ConfigError("training set is empty")
     x, y, _ = _design_matrix(train)
     n, d = x.shape
     k = train.num_classes
+    lr = cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     limit = np.sqrt(6.0 / (d + k))
     w = rng.uniform(-limit, limit, size=(k, d))
     b = np.zeros(k)
+    grad = np.empty_like(w)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
-            probs = softmax(xb @ w.T + b)
-            probs[np.arange(len(idx)), yb] -= 1.0
-            probs /= len(idx)
-            w -= cfg.learning_rate * (probs.T @ xb + cfg.l2 * w)
-            b -= cfg.learning_rate * probs.sum(axis=0)
+            step = softmax(xb @ w.T + b)
+            step[np.arange(len(idx)), yb] -= 1.0
+            step *= lr / len(idx)
+            w *= 1.0 - lr * cfg.l2
+            w -= np.matmul(step.T, xb, out=grad)
+            b -= step.sum(axis=0)
     return DenseParams(weights=w, bias=b)
 
 
 def head_loss(params: DenseParams, eset: EmbeddingSet, l2: float = 0.0) -> float:
     """Mean cross-entropy of the head on a set, plus the L2 penalty."""
     x, y, _ = _design_matrix(eset)
-    logits = x @ params.weights.T + params.bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    ce = float(np.mean(log_norm - shifted[np.arange(len(y)), y]))
+    log_probs = log_softmax(x @ params.weights.T + params.bias)
+    ce = -float(np.mean(log_probs[np.arange(len(y)), y]))
     return ce + 0.5 * l2 * float(np.sum(params.weights.astype(np.float64) ** 2))
 
 

@@ -238,6 +238,14 @@ class TestTrainAndCV:
                            "--epochs", "5", "--seed", "7").returncode == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--lr", "--l2"])
+    def test_train_head_rejects_non_finite_settings(self, tmp_path, cache_path, flag):
+        out = tmp_path / "head.csnw"
+        result = run_cli("train-head", "--embeddings", cache_path, "--out", out, flag, "nan")
+        assert result.returncode == 2
+        assert "ConfigError" in result.stderr
+        assert not out.exists() and not out.with_suffix(".manifest.json").exists()
+
     def test_eval_cv_report(self, tmp_path, cache_path):
         out = tmp_path / "report.json"
         csv_out = tmp_path / "report.csv"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_patch
-from sawnet import models
+from conftest import random_bn_stats, random_patch
+from sawnet import models, nn
 from sawnet.errors import ConfigError, StructureError, ValidationError
 from sawnet.frontend import LogMelPatch
 
@@ -254,6 +254,47 @@ class TestForwardBatch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_in_place_bn_relu_peak(self, fcn_bundle_small):
+        # a copy of bn1's 12.6 MB input map, plus one more for its ReLU, took
+        # the peak to 36 MB; the largest conv's im2col now sets it
+        patches = [random_patch(s) for s in range(4)]
+        assert models.batch_size(fcn_bundle_small) == 4
+        models.forward_batch(fcn_bundle_small, patches[:1])  # first-call allocations
+        tracemalloc.start()
+        try:
+            models.forward_batch(fcn_bundle_small, patches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "aug_folded_small", "fcn_bundle_small"])
+    def test_in_place_bn_relu_bit_identical(self, request, monkeypatch, name):
+        bundle = request.getfixturevalue(name)
+        patches = [random_patch(s) for s in range(4)]
+        emb = bundle.spec.embedding_layer
+        in_place = [models.forward_batch(bundle, patches, stop_after=s) for s in (None, emb)]
+        for op in ("batchnorm_infer", "relu"):
+            monkeypatch.setattr(nn, op, lambda *args, _op=getattr(nn, op), out=None: _op(*args))
+        for got, stop in zip(in_place, (None, emb)):
+            np.testing.assert_array_equal(got, models.forward_batch(bundle, patches, stop))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_run_layers_leaves_its_input_untouched(self, aug_bundle_small, dtype):
+        # a chain that starts with batch norm + ReLU would overwrite the input
+        bn_first = random_bn_stats(models.init_bundle(models.ModelSpec(
+            models.ARCH_AUG_VGGISH, 2,
+            (models.LayerDef("bn", "batchnorm", relu=True, channels=1),
+             models.LayerDef("gap", "global_avg_pool"),
+             models.LayerDef("fc", "dense", in_units=1, out_units=2)),
+            "gap", 1), init="random", seed=1))
+        x = np.stack([random_patch(s).values for s in range(2)])[:, None].astype(dtype)
+        before = x.copy()
+        for bundle, stop in ((bn_first, "bn"), (bn_first, None), (aug_bundle_small, "bn1"),
+                             (aug_bundle_small, None)):
+            models.run_layers(bundle, x, stop)
+            np.testing.assert_array_equal(x, before)
 
     def test_empty_and_malformed_input_rejected(self, aug_bundle_small):
         with pytest.raises(ValidationError):

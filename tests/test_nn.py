@@ -140,6 +140,49 @@ class TestRelu:
         np.testing.assert_array_equal(nn.relu(nn.relu(x)), nn.relu(x))
 
 
+class TestInPlace:
+    """`out=` gives the values and dtype of a call without it, and may be the input."""
+
+    @staticmethod
+    def bn_params(dtype):
+        rng = np.random.default_rng(70)
+        return nn.BatchNormParams(*(rng.uniform(0.5, 1.5, 3).astype(dtype) for _ in range(4)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batchnorm_into_its_input(self, dtype):
+        x = np.random.default_rng(71).normal(0, 2, (2, 3, 4, 5)).astype(dtype)
+        params = self.bn_params(dtype)
+        want = nn.batchnorm_infer(x, params)
+        got = nn.batchnorm_infer(x, params, out=x)
+        assert got is x and got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_batchnorm_float32_map_into_float64_buffer(self):
+        x = np.random.default_rng(72).normal(0, 2, (3, 4, 5)).astype(np.float32)
+        params = self.bn_params(np.float64)
+        want = nn.batchnorm_infer(x, params)
+        out = np.empty(x.shape)
+        assert nn.batchnorm_infer(x, params, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        with pytest.raises(ShapeError, match="out must be a float64"):
+            nn.batchnorm_infer(x, params, out=x)  # would round the float64 result
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_into_its_input(self, dtype):
+        x = np.random.default_rng(73).normal(0, 1, (2, 3, 4, 5)).astype(dtype)
+        want = nn.relu(x)
+        got = nn.relu(x, out=x)
+        assert got is x and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_wrong_shape_rejected(self):
+        x = np.zeros((1, 3, 4, 5))
+        with pytest.raises(ShapeError):
+            nn.relu(x, out=np.zeros((3, 4, 5)))
+        with pytest.raises(ShapeError):
+            nn.batchnorm_infer(x, self.bn_params(np.float64), out=np.zeros((1, 3, 4, 4)))
+
+
 class TestMaxPool:
     def test_single_block(self):
         out = nn.maxpool_2x2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
@@ -219,6 +262,24 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) < 1e-9
 
 
+class TestLogSoftmax:
+    def test_matches_log_of_softmax(self):
+        z = np.random.default_rng(65).normal(0, 5, (4, 7))
+        np.testing.assert_allclose(nn.log_softmax(z), np.log(nn.softmax(z)), rtol=0, atol=1e-12)
+
+    def test_large_logits_stay_finite(self):
+        np.testing.assert_array_equal(nn.log_softmax(np.array([1000.0, 0.0])), [0.0, -1000.0])
+
+    def test_rows_match_single_vectors(self):
+        z = np.random.default_rng(66).normal(0, 10, (5, 6))
+        np.testing.assert_array_equal(nn.log_softmax(z), np.stack([nn.log_softmax(r) for r in z]))
+
+    def test_other_ranks_rejected(self):
+        for shape in ((), (0,), (2, 3, 4)):
+            with pytest.raises(ShapeError):
+                nn.log_softmax(np.zeros(shape))
+
+
 class TestSigmoid:
     def test_zero(self):
         assert nn.sigmoid(0.0) == 0.5
@@ -264,6 +325,15 @@ class TestCrossEntropyGrad:
                            - cross_entropy_reference(bumped_dn, true_class)) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(grad[i] - numeric) / denom < 1e-4
+
+    def test_loss_bit_identical_to_its_own_log_sum_exp(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            z = rng.normal(0, 4, 9)
+            t = int(rng.integers(9))
+            shifted = z - z.max()
+            assert nn.cross_entropy_grad(z, t)[0] == float(np.log(np.exp(shifted).sum())
+                                                           - shifted[t])
 
     def test_out_of_range_class(self):
         with pytest.raises(IndexError):

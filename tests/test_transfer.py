@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bn_stats
 from sawnet import evaluation, frontend, models, nn, transfer
@@ -29,6 +31,28 @@ def synthetic_set(num_classes: int, per_class: int, dim: int, folds: int,
                 vector=vec,
             ))
     return transfer.EmbeddingSet(items=tuple(items), dim=dim, num_classes=num_classes)
+
+
+def reference_train_head(train: transfer.EmbeddingSet, cfg: transfer.TrainConfig) -> DenseParams:
+    """The SGD loop written out plainly: coupled L2 gradient, fresh arrays each step."""
+    x, y, _ = transfer._design_matrix(train)
+    n, d = x.shape
+    k = train.num_classes
+    rng = np.random.default_rng(cfg.seed)
+    limit = np.sqrt(6.0 / (d + k))
+    w = rng.uniform(-limit, limit, size=(k, d))
+    b = np.zeros(k)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = x[idx], y[idx]
+            probs = nn.softmax(xb @ w.T + b)
+            probs[np.arange(len(idx)), yb] -= 1.0
+            probs /= len(idx)
+            w -= cfg.learning_rate * (probs.T @ xb + cfg.l2 * w)
+            b -= cfg.learning_rate * probs.sum(axis=0)
+    return DenseParams(weights=w, bias=b)
 
 
 class TestTrainHead:
@@ -91,6 +115,41 @@ class TestTrainHead:
         with pytest.raises(ConfigError):
             transfer.TrainConfig(learning_rate=-0.1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            transfer.TrainConfig(**{field: value})
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), batch_size=st.integers(1, 48), d=st.integers(1, 12),
+           k=st.integers(2, 6), epochs=st.integers(1, 3), seed=st.integers(0, 2**16),
+           learning_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+           l2=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+    def test_matches_reference_loop(self, n, batch_size, d, k, epochs, seed, learning_rate, l2):
+        rng = np.random.default_rng(seed)
+        eset = transfer.EmbeddingSet(
+            items=tuple(transfer.EmbeddingItem(f"c{i:03d}", 1, int(rng.integers(k)),
+                                               rng.normal(0, 2, d)) for i in range(n)),
+            dim=d, num_classes=k)
+        cfg = transfer.TrainConfig(learning_rate=learning_rate, batch_size=batch_size,
+                                   epochs=epochs, seed=seed, l2=l2)
+        got, want = transfer.train_head(eset, cfg), reference_train_head(eset, cfg)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.bias, want.bias, rtol=0, atol=1e-12)
+
+    def test_head_loss_bit_identical_to_its_own_log_sum_exp(self):
+        eset = synthetic_set(num_classes=5, per_class=6, dim=7, folds=1, seed=7, noise=1.0)
+        params = transfer.train_head(eset, transfer.TrainConfig(epochs=3, seed=2))
+        x, y, _ = transfer._design_matrix(eset)
+        logits = x @ params.weights.T + params.bias
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=1))
+        ce = float(np.mean(log_norm - shifted[np.arange(len(y)), y]))
+        assert transfer.head_loss(params, eset) == ce
+        assert transfer.head_loss(params, eset, l2=1e-3) == \
+            ce + 0.5 * 1e-3 * float(np.sum(params.weights ** 2))
+
 
 class TestRunCV:
     def test_separable_five_folds_perfect(self):
@@ -127,6 +186,22 @@ class TestRunCV:
         for r in results:
             manual = np.mean([s.predicted == s.true for s in r.per_clip_scores])
             assert r.accuracy == pytest.approx(manual, abs=1e-12)
+
+    def test_matches_reference_trained_heads(self, monkeypatch):
+        # 500 clips x 20 classes x 64 dims, overlapping enough that folds err
+        eset = synthetic_set(num_classes=20, per_class=25, dim=64, folds=5, seed=16,
+                             noise=0.8, margin=1.0)
+        cfg = transfer.TrainConfig(epochs=5)
+        results, mean_accuracy = transfer.run_cv(eset, 5, cfg)
+        monkeypatch.setattr(transfer, "train_head", reference_train_head)
+        want, want_mean = transfer.run_cv(eset, 5, cfg)
+        assert 0.0 < mean_accuracy < 1.0 and mean_accuracy == want_mean
+        for r, w in zip(results, want):
+            assert (r.fold, r.accuracy, r.macro_f1) == (w.fold, w.accuracy, w.macro_f1)
+            assert [(s.clip_id, s.predicted) for s in r.per_clip_scores] == \
+                [(s.clip_id, s.predicted) for s in w.per_clip_scores]
+            for a, b in zip(r.per_clip_scores, w.per_clip_scores):
+                np.testing.assert_allclose(a.probabilities, b.probabilities, rtol=0, atol=1e-12)
 
     def test_missing_fold_rejected(self):
         eset = synthetic_set(num_classes=2, per_class=8, dim=4, folds=4, seed=14)
