@@ -179,6 +179,14 @@ def save_bundle(bundle: WeightBundle, path) -> None:
     write_container(path, header, bundle.params)
 
 
+def _positive_number(header: dict, key: str, default: float) -> float:
+    """Header field `key` (`default` when absent), which must be a finite number > 0."""
+    value = header.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValidationError(f"invalid {key} {value!r}")
+    return float(value)
+
+
 def load_bundle(path, check_preproc: bool = True) -> WeightBundle:
     """Load and validate a weight bundle from a CSNW file.
 
@@ -196,15 +204,13 @@ def load_bundle(path, check_preproc: bool = True) -> WeightBundle:
         raise ValidationError(
             f"bundle expects frontend {preproc_tag!r}, this build provides {PREPROC_TAG!r}"
         )
-    epsilon = header.get("epsilon", DEFAULT_EPSILON)
-    if not isinstance(epsilon, (int, float)) or not epsilon > 0:
-        raise ValidationError(f"invalid epsilon {epsilon!r}")
+    epsilon = _positive_number(header, "epsilon", DEFAULT_EPSILON)
     spec = build_arch(arch_id, num_classes)
     if header.get("folded", False):
         spec = fold_spec(spec)
     # validation casts each float32 view to float64 once, in place in `tensors`
     return WeightBundle(spec=spec, params=tensors, preproc_tag=preproc_tag,
-                        epsilon=float(epsilon))
+                        epsilon=epsilon)
 
 
 def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
@@ -233,8 +239,8 @@ def load_spectrogram(path) -> LogMelSpectrogram:
     if "logmel" not in tensors:
         raise ValidationError("container has no 'logmel' tensor")
     frames = tensors["logmel"]
-    if frames.ndim != 2 or frames.shape[1] != NUM_MEL_BANDS:
-        raise ValidationError(f"logmel tensor must be [frames, {NUM_MEL_BANDS}], "
+    if frames.ndim != 2 or frames.shape[1] != NUM_MEL_BANDS or not frames.shape[0]:
+        raise ValidationError(f"logmel tensor must be [frames >= 1, {NUM_MEL_BANDS}], "
                               f"got {frames.shape}")
     num_samples = header.get("num_samples")
     if num_samples is not None and (
@@ -244,8 +250,8 @@ def load_spectrogram(path) -> LogMelSpectrogram:
             f"num_samples {num_samples!r} does not match {frames.shape[0]} frames")
     return LogMelSpectrogram(
         frames=frames.astype(np.float64),
-        frame_hop_s=float(header.get("frame_hop_s", 0.010)),
-        frame_len_s=float(header.get("frame_len_s", 0.025)),
+        frame_hop_s=_positive_number(header, "frame_hop_s", 0.010),
+        frame_len_s=_positive_number(header, "frame_len_s", 0.025),
         source_id=str(header.get("source_id", "")),
         num_samples=num_samples,
     )

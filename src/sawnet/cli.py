@@ -27,7 +27,7 @@ from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_conta
 from .errors import SawnetError
 from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
 from .frontend import PATCH_FRAMES, extract_patches, log_mel_spectrogram, resample_to_16k
-from .models import count_params, forward_batch
+from .models import count_params, describe_layer, forward_batch
 from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
 from .wavio import decode_wav
@@ -155,16 +155,7 @@ def cmd_info(args) -> int:
     print(f"folded: {str(bundle.folded).lower()}")
     print("layers:")
     for layer in spec.layers:
-        if layer.kind == "conv":
-            detail = f"{layer.in_ch}->{layer.out_ch} {layer.kernel}x{layer.kernel}"
-        elif layer.kind == "batchnorm":
-            detail = f"{layer.channels} channels"
-        elif layer.kind == "dense":
-            detail = f"{layer.in_units}->{layer.out_units}"
-        else:
-            detail = ""
-        relu = " +relu" if layer.relu else ""
-        print(f"  {layer.name:8s} {layer.kind:16s}{detail}{relu}")
+        print(f"  {layer.name:8s} {layer.kind:16s}{describe_layer(layer)}")
     print(f"embedding_dim: {spec.embedding_dim}")
     print(f"trainable_params: {count_params(spec)}")
     return 0

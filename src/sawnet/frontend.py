@@ -219,6 +219,14 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
                              num_samples=len(x))
 
 
+def _window(spec: LogMelSpectrogram, start: int) -> LogMelPatch:
+    """The 96 frames from `start`, the tail edge-padded past the last frame."""
+    window = spec.frames[start : start + PATCH_FRAMES]
+    if window.shape[0] < PATCH_FRAMES:
+        window = np.pad(window, ((0, PATCH_FRAMES - window.shape[0]), (0, 0)), mode="edge")
+    return LogMelPatch(values=window, origin_s=start * spec.frame_hop_s)
+
+
 def extract_patches(
     spec: LogMelSpectrogram, hop_frames: int, pad: bool = False
 ) -> list[LogMelPatch]:
@@ -229,25 +237,14 @@ def extract_patches(
     """
     if hop_frames < 1:
         raise ConfigError(f"hop_frames must be >= 1, got {hop_frames}")
-    frames = spec.frames
-    total = frames.shape[0]
-    if total < PATCH_FRAMES:
-        if not pad:
-            raise TooShort(f"{total} frames < {PATCH_FRAMES}; enable padding or use longer audio")
-        padded = np.pad(frames, ((0, PATCH_FRAMES - total), (0, 0)), mode="edge")
-        return [LogMelPatch(values=padded, origin_s=0.0)]
-    starts = range(0, total - PATCH_FRAMES + 1, hop_frames)
-    return [
-        LogMelPatch(values=frames[s : s + PATCH_FRAMES], origin_s=s * spec.frame_hop_s)
-        for s in starts
-    ]
+    total = spec.num_frames
+    if total < PATCH_FRAMES and not pad:
+        raise TooShort(f"{total} frames < {PATCH_FRAMES}; enable padding or use longer audio")
+    return [_window(spec, s) for s in range(0, max(total - PATCH_FRAMES, 0) + 1, hop_frames)]
 
 
 def patch_at_frame(spec: LogMelSpectrogram, start_frame: int) -> LogMelPatch:
     """One 96-frame patch starting at `start_frame`, edge-padded at the tail."""
     if start_frame < 0 or start_frame >= spec.num_frames:
         raise ConfigError(f"start_frame {start_frame} outside [0, {spec.num_frames})")
-    window = spec.frames[start_frame : start_frame + PATCH_FRAMES]
-    if window.shape[0] < PATCH_FRAMES:
-        window = np.pad(window, ((0, PATCH_FRAMES - window.shape[0]), (0, 0)), mode="edge")
-    return LogMelPatch(values=window, origin_s=start_frame * spec.frame_hop_s)
+    return _window(spec, start_frame)

@@ -13,8 +13,10 @@ single input channel:
                total), a 1x1 convolutional classifier, and global average
                pooling. No dense layers. 18,716,338 parameters at 50 classes.
 
-Global pooling makes both networks tolerant of input height/width variation;
-fcn_vggish accepts any patch with at least 32 frames.
+Patches (`LogMelPatch`) are fixed at 96x64, but global pooling lets
+`run_layers` take any [1, H, W] input whose pools each see at least 2x2:
+H, W >= 16 for aug_vggish (four pools) and H, W >= 32 for fcn_vggish (five);
+a 31-row input to fcn_vggish raises `ShapeError` at pool5.
 
 The embedding (penultimate representation) is the 256-unit FC output for
 aug_vggish and the globally pooled 1024-channel feature map for fcn_vggish.
@@ -29,8 +31,9 @@ pays only where the weights outweigh one patch's activations: fcn_vggish's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,63 +155,95 @@ def build_arch(arch_id: str, num_classes: int) -> ModelSpec:
     return _BUILDERS[arch_id](num_classes)
 
 
+class _Kind(NamedTuple):
+    """How one layer kind is shaped, run, built and shown.
+
+    `out_shape(layer, s)` is the output shape for an input of shape `s`,
+    ``(C, H, W)`` or ``(K,)``, or None when the layer cannot take it.
+    `forward(x, params, out)` runs the layer; `out` may receive a batch norm's
+    result. `shapes(layer)` names its parameter tensors, `build(layer, tensors,
+    epsilon)` makes its `nn` params object from them and `show(layer)` is its
+    `sawnet info` text. A forward looks up `nn.<op>` when it runs, so an
+    operator replaced on the module (by a tracer or a test) is the one called.
+    """
+
+    out_shape: Callable[[LayerDef, tuple], tuple | None]
+    forward: Callable[[np.ndarray, object, np.ndarray | None], np.ndarray]
+    shapes: Callable[[LayerDef], dict] = lambda layer: {}
+    build: Callable[[LayerDef, dict, float], object] | None = None
+    show: Callable[[LayerDef], str] = lambda layer: ""
+
+
+_KINDS = {
+    "conv": _Kind(
+        out_shape=lambda l, s: (l.out_ch, *s[1:]) if len(s) == 3 and s[0] == l.in_ch else None,
+        forward=lambda x, p, out: nn.conv2d_same(x, p),
+        shapes=lambda l: {"kernels": (l.out_ch, l.in_ch, l.kernel, l.kernel),
+                          "bias": (l.out_ch,)},
+        build=lambda l, t, epsilon: nn.ConvParams(t["kernels"], t["bias"], assume_finite=True),
+        show=lambda l: f"{l.in_ch}->{l.out_ch} {l.kernel}x{l.kernel}"),
+    "batchnorm": _Kind(
+        out_shape=lambda l, s: s if len(s) == 3 and s[0] == l.channels else None,
+        forward=lambda x, p, out: nn.batchnorm_infer(x, p, out=out),
+        shapes=lambda l: dict.fromkeys(("gamma", "beta", "mean", "var"), (l.channels,)),
+        build=lambda l, t, epsilon: nn.BatchNormParams(
+            t["gamma"], t["beta"], t["mean"], t["var"], epsilon=epsilon, assume_finite=True),
+        show=lambda l: f"{l.channels} channels"),
+    "maxpool": _Kind(
+        out_shape=lambda l, s: ((s[0], s[1] // 2, s[2] // 2)
+                                if len(s) == 3 and min(s[1:]) >= 2 else None),
+        forward=lambda x, p, out: nn.maxpool_2x2(x)),
+    "global_avg_pool": _Kind(
+        out_shape=lambda l, s: s[:1] if len(s) == 3 else None,
+        forward=lambda x, p, out: nn.global_avg_pool(x)),
+    "dense": _Kind(
+        out_shape=lambda l, s: (l.out_units,) if s == (l.in_units,) else None,
+        forward=lambda x, p, out: nn.dense(x, p),
+        shapes=lambda l: {"weights": (l.out_units, l.in_units), "bias": (l.out_units,)},
+        build=lambda l, t, epsilon: nn.DenseParams(t["weights"], t["bias"], assume_finite=True),
+        show=lambda l: f"{l.in_units}->{l.out_units}"),
+}
+
+
+def _kind(layer: LayerDef) -> _Kind:
+    if layer.kind not in _KINDS:
+        raise ValidationError(f"layer {layer.name}: unknown kind {layer.kind!r}")
+    return _KINDS[layer.kind]
+
+
 def count_params(spec: ModelSpec) -> int:
     """Trainable parameter count; batch-norm running statistics excluded."""
-    total = 0
-    for layer in spec.layers:
-        if layer.kind == "conv":
-            total += layer.out_ch * layer.in_ch * layer.kernel**2 + layer.out_ch
-        elif layer.kind == "batchnorm":
-            total += 2 * layer.channels
-        elif layer.kind == "dense":
-            total += layer.out_units * layer.in_units + layer.out_units
-    return total
+    return sum(math.prod(shape) for layer in spec.layers
+               for suffix, shape in param_shapes(layer).items() if suffix not in ("mean", "var"))
 
 
 def param_shapes(layer: LayerDef) -> dict[str, tuple[int, ...]]:
     """Required parameter tensors (key suffix -> shape) for one layer."""
-    if layer.kind == "conv":
-        return {
-            "kernels": (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel),
-            "bias": (layer.out_ch,),
-        }
-    if layer.kind == "batchnorm":
-        c = (layer.channels,)
-        return {"gamma": c, "beta": c, "mean": c, "var": c}
-    if layer.kind == "dense":
-        return {"weights": (layer.out_units, layer.in_units), "bias": (layer.out_units,)}
-    return {}
+    return _kind(layer).shapes(layer)
+
+
+def describe_layer(layer: LayerDef) -> str:
+    """A layer's sizes as `sawnet info` shows them, e.g. ``64->128 3x3 +relu``."""
+    return _kind(layer).show(layer) + (" +relu" if layer.relu else "")
+
+
+def _activation_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
+    """A ``(1, 96, 64)`` patch's shape and each layer's output shape on it."""
+    shapes = [(1, PATCH_FRAMES, NUM_MEL_BANDS)]
+    for layer in spec.layers:
+        shape = _kind(layer).out_shape(layer, shapes[-1])
+        if shape is None:
+            raise ValidationError(
+                f"layer {layer.name}: {layer.kind} cannot take a {list(shapes[-1])} input")
+        shapes.append(shape)
+    return shapes
 
 
 def _validate_chain(spec: ModelSpec) -> None:
-    """Check that layer shapes chain from [1, H, W] input to [num_classes]."""
+    """Check that layer shapes chain from a [1, 96, 64] patch to [num_classes]."""
     if spec.arch_id not in _BUILDERS:
         raise ValidationError(f"unknown arch_id {spec.arch_id!r}")
-    channels: int | None = 1  # spatial channel count, None once flattened
-    width: int | None = None  # vector length once flattened
-    for layer in spec.layers:
-        spatial = channels is not None
-        if layer.kind == "conv":
-            if not spatial or layer.in_ch != channels:
-                raise ValidationError(f"layer {layer.name}: expects {layer.in_ch} channels")
-            channels = layer.out_ch
-        elif layer.kind == "batchnorm":
-            if not spatial or layer.channels != channels:
-                raise ValidationError(f"layer {layer.name}: channel mismatch")
-        elif layer.kind == "maxpool":
-            if not spatial:
-                raise ValidationError(f"layer {layer.name}: maxpool after flattening")
-        elif layer.kind == "global_avg_pool":
-            if not spatial:
-                raise ValidationError(f"layer {layer.name}: repeated flattening")
-            width, channels = channels, None
-        elif layer.kind == "dense":
-            if spatial or layer.in_units != width:
-                raise ValidationError(f"layer {layer.name}: expects a [{layer.in_units}] vector")
-            width = layer.out_units
-        else:
-            raise ValidationError(f"layer {layer.name}: unknown kind {layer.kind!r}")
-    final = width if channels is None else channels
+    final = _activation_shapes(spec)[-1][0]
     if final != spec.num_classes:
         raise ValidationError(f"network ends at width {final}, not {spec.num_classes} classes")
     if not any(l.name == spec.embedding_layer for l in spec.layers):
@@ -245,9 +280,8 @@ class WeightBundle:
         objs: dict[str, object] = {}
         expected: set[str] = set()
         for layer in self.spec.layers:
-            shapes = param_shapes(layer)
             tensors = {}
-            for suffix, shape in shapes.items():
+            for suffix, shape in param_shapes(layer).items():
                 key = f"{layer.name}/{suffix}"
                 expected.add(key)
                 if key not in self.params:
@@ -265,17 +299,8 @@ class WeightBundle:
                 arr.setflags(write=False)
                 self.params[key] = tensors[suffix] = arr
             try:
-                if layer.kind == "conv":
-                    objs[layer.name] = nn.ConvParams(tensors["kernels"], tensors["bias"],
-                                                     assume_finite=True)
-                elif layer.kind == "batchnorm":
-                    objs[layer.name] = nn.BatchNormParams(
-                        tensors["gamma"], tensors["beta"], tensors["mean"], tensors["var"],
-                        epsilon=self.epsilon, assume_finite=True,
-                    )
-                elif layer.kind == "dense":
-                    objs[layer.name] = nn.DenseParams(tensors["weights"], tensors["bias"],
-                                                      assume_finite=True)
+                if tensors:
+                    objs[layer.name] = _KINDS[layer.kind].build(layer, tensors, self.epsilon)
             except nn.ShapeError as e:
                 raise ValidationError(f"layer {layer.name}: {e}") from e
         extra = set(self.params) - expected
@@ -307,9 +332,8 @@ def init_bundle(
     for layer in spec.layers:
         for suffix, shape in param_shapes(layer).items():
             key = f"{layer.name}/{suffix}"
-            if layer.kind == "batchnorm":
-                fill = 1.0 if suffix in ("gamma", "var") else 0.0
-                params[key] = np.full(shape, fill, dtype=np.float32)
+            if suffix in ("gamma", "var"):
+                params[key] = np.ones(shape, dtype=np.float32)
             elif suffix in ("kernels", "weights") and init == "random":
                 fan_in = int(np.prod(shape[1:]))
                 params[key] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(np.float32)
@@ -332,16 +356,7 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
         raise ValidationError(
             f"network input must be [C, H, W] or [B, C, H, W], got shape {x.shape}")
     for layer in bundle.spec.layers:
-        if layer.kind == "conv":
-            x = nn.conv2d_same(x, bundle._objs[layer.name])
-        elif layer.kind == "batchnorm":
-            x = nn.batchnorm_infer(x, bundle._objs[layer.name], out=_scratch(x, inp))
-        elif layer.kind == "maxpool":
-            x = nn.maxpool_2x2(x)
-        elif layer.kind == "global_avg_pool":
-            x = nn.global_avg_pool(x)
-        elif layer.kind == "dense":
-            x = nn.dense(x, bundle._objs[layer.name])
+        x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name), _scratch(x, inp))
         if layer.relu:
             x = nn.relu(x, out=_scratch(x, inp))
         if layer.name == stop_after:
@@ -357,22 +372,6 @@ def _scratch(x: np.ndarray, inp: np.ndarray) -> np.ndarray | None:
     return None if x is inp or x.dtype != np.float64 else x
 
 
-def _largest_activation(spec: ModelSpec, height: int, width: int) -> int:
-    """Element count of the largest layer output for one [1, height, width] input."""
-    channels, largest = 1, height * width
-    for layer in spec.layers:
-        if layer.kind == "conv":
-            channels = layer.out_ch
-        elif layer.kind == "maxpool":
-            height, width = height // 2, width // 2
-        elif layer.kind == "global_avg_pool":
-            height = width = 1
-        elif layer.kind == "dense":
-            channels = layer.out_units
-        largest = max(largest, channels * height * width)
-    return largest
-
-
 def batch_size(bundle: WeightBundle) -> int:
     """Patches per `run_layers` call in `forward_batch`.
 
@@ -384,7 +383,7 @@ def batch_size(bundle: WeightBundle) -> int:
     patches share the weight passes.
     """
     weight_bytes = sum(a.nbytes for a in bundle.params.values())
-    activation_bytes = (_largest_activation(bundle.spec, PATCH_FRAMES, NUM_MEL_BANDS)
+    activation_bytes = (max(map(math.prod, _activation_shapes(bundle.spec)))
                         * np.float64().itemsize)
     return max(1, weight_bytes // (_WEIGHTS_PER_ACTIVATION * activation_bytes))
 
@@ -458,27 +457,23 @@ def fold_batchnorm(bundle: WeightBundle) -> WeightBundle:
     """
     folded_spec = fold_spec(bundle.spec)
     params: dict[str, np.ndarray] = {}
-    prev_conv: str | None = None
+    prev_conv: str | None = None  # fold_spec has checked that each BN follows a conv
     for layer in bundle.spec.layers:
-        if layer.kind == "conv":
-            prev_conv = layer.name
-            params[f"{layer.name}/kernels"] = np.asarray(bundle.params[f"{layer.name}/kernels"])
-            params[f"{layer.name}/bias"] = np.asarray(bundle.params[f"{layer.name}/bias"])
-        elif layer.kind == "batchnorm":
-            n = layer.name
-            scale = bundle.params[f"{n}/gamma"] / np.sqrt(bundle.params[f"{n}/var"] + bundle.epsilon)
-            kernels = params[f"{prev_conv}/kernels"]
-            bias = params[f"{prev_conv}/bias"]
-            # rounded to the container's float32, so a folded bundle forwards
-            # identically before and after save_bundle
-            params[f"{prev_conv}/kernels"] = (
-                kernels * scale[:, None, None, None]).astype(np.float32)
-            params[f"{prev_conv}/bias"] = (
-                (bias - bundle.params[f"{n}/mean"]) * scale + bundle.params[f"{n}/beta"]
-            ).astype(np.float32)
-        elif layer.kind == "dense":
-            params[f"{layer.name}/weights"] = np.asarray(bundle.params[f"{layer.name}/weights"])
-            params[f"{layer.name}/bias"] = np.asarray(bundle.params[f"{layer.name}/bias"])
+        n = layer.name
+        if layer.kind != "batchnorm":
+            prev_conv = n
+            params.update({f"{n}/{suffix}": np.asarray(bundle.params[f"{n}/{suffix}"])
+                           for suffix in param_shapes(layer)})
+            continue
+        scale = bundle.params[f"{n}/gamma"] / np.sqrt(bundle.params[f"{n}/var"] + bundle.epsilon)
+        kernels = params[f"{prev_conv}/kernels"]
+        bias = params[f"{prev_conv}/bias"]
+        # rounded to the container's float32, so a folded bundle forwards
+        # identically before and after save_bundle
+        params[f"{prev_conv}/kernels"] = (kernels * scale[:, None, None, None]).astype(np.float32)
+        params[f"{prev_conv}/bias"] = (
+            (bias - bundle.params[f"{n}/mean"]) * scale + bundle.params[f"{n}/beta"]
+        ).astype(np.float32)
     return WeightBundle(
         spec=folded_spec, params=params, preproc_tag=bundle.preproc_tag, epsilon=bundle.epsilon
     )

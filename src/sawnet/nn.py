@@ -111,8 +111,8 @@ class BatchNormParams:
                 raise ShapeError(f"{name} shape {getattr(self, name).shape} != {c}")
         if np.any(self.running_var < 0):
             raise ShapeError("running_var entries must be >= 0")
-        if not self.epsilon > 0:
-            raise ShapeError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ShapeError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         scale = self.gamma.astype(np.float64) / np.sqrt(
             self.running_var.astype(np.float64) + self.epsilon)
         shift = self.beta.astype(np.float64) - self.running_mean.astype(np.float64) * scale

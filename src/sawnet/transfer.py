@@ -76,8 +76,10 @@ class TrainConfig:
         # NaN fails every comparison, so finiteness is checked explicitly
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                   for v in (self.batch_size, self.epochs)):
+            raise ConfigError(f"batch_size and epochs must be integers >= 1, "
+                              f"got {self.batch_size!r} and {self.epochs!r}")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
             raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
 

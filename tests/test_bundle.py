@@ -399,3 +399,34 @@ class TestSpectrogramContainer:
         bundle.write_container(path, {"kind": "logmel"}, {"logmel": np.zeros((10, 32))})
         with pytest.raises(ValidationError):
             bundle.load_spectrogram(path)
+
+    def test_empty_spectrogram_rejected(self, tmp_path):
+        # zero frames cannot be edge-padded into a patch
+        path = tmp_path / "empty.csnw"
+        bundle.write_container(path, {"kind": "logmel"}, {"logmel": np.zeros((0, 64))})
+        with pytest.raises(ValidationError, match="frames >= 1"):
+            bundle.load_spectrogram(path)
+
+
+class TestHeaderNumbers:
+    """Header numbers must be finite and > 0; JSON's Infinity and NaN parse as floats."""
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1e-5, "1e-5", True])
+    def test_bad_epsilon_rejected(self, tmp_path, epsilon):
+        path = tmp_path / "m.csnw"
+        bundle.save_bundle(models.init_bundle(models.build_aug_vggish(2), init="zeros"), path)
+        header, tensors = bundle.read_container(path)
+        header["epsilon"] = epsilon
+        del header["tensors"], header["payload_bytes"]
+        bundle.write_container(path, header, tensors)
+        with pytest.raises(ValidationError, match="epsilon"):
+            bundle.load_bundle(path)
+
+    @pytest.mark.parametrize("field", ["frame_hop_s", "frame_len_s"])
+    @pytest.mark.parametrize("value", ["abc", float("nan"), float("inf"), 0, -0.01, None])
+    def test_bad_spectrogram_timing_rejected(self, tmp_path, field, value):
+        path = tmp_path / "s.csnw"
+        bundle.write_container(path, {"kind": "logmel", field: value},
+                               {"logmel": np.zeros((120, 64))})
+        with pytest.raises(ValidationError, match=field):
+            bundle.load_spectrogram(path)

@@ -1,5 +1,6 @@
 """Black-box CLI tests: exit codes, output formats, reproducibility."""
 
+import dataclasses
 import json
 import re
 
@@ -8,7 +9,8 @@ import pytest
 
 from conftest import run_cli, sine_clip
 from sawnet import models, transfer
-from sawnet.bundle import save_bundle
+from sawnet.bundle import save_bundle, save_spectrogram
+from sawnet.frontend import log_mel_spectrogram
 from sawnet.wavio import encode_wav
 
 
@@ -119,6 +121,21 @@ class TestInfo:
         result = run_cli("info", "--model", path)
         assert "trainable_params: 18716338" in result.stdout
 
+    def test_layer_lines(self, tmp_path, model_dir):
+        lines = run_cli("info", "--model", model_dir / "rand4.csnw").stdout.splitlines()
+        assert "  conv1    conv            1->64 3x3" in lines
+        assert "  bn1      batchnorm       64 channels +relu" in lines
+        assert "  pool1    maxpool         " in lines
+        assert "  gap      global_avg_pool " in lines
+        assert "  fc1      dense           512->256 +relu" in lines
+        assert "  head     dense           256->4" in lines
+        path = tmp_path / "folded.csnw"
+        save_bundle(models.fold_batchnorm(models.init_bundle(models.build_fcn_vggish(2))), path)
+        lines = run_cli("info", "--model", path).stdout.splitlines()
+        assert "folded: true" in lines
+        assert "  conv8    conv            1024->1024 3x3 +relu" in lines
+        assert "  clf      conv            1024->2 1x1" in lines
+
     def test_truncated_file_exits_2(self, tmp_path, model_dir):
         broken = tmp_path / "trunc.csnw"
         broken.write_bytes((model_dir / "zero2.csnw").read_bytes()[:40])
@@ -205,6 +222,17 @@ class TestPerFileFailures:
         assert result.stderr.count("ConfigError") == 1
         assert "positive_class 2 out of range for 2 classes" in result.stderr
         assert not out.exists()
+
+
+    def test_infer_reports_bad_spectrogram_header(self, tmp_path, model_dir):
+        good, bad = tmp_path / "good.csnw", tmp_path / "bad.csnw"
+        spec = log_mel_spectrogram(sine_clip(440.0, 2.0, source_id="tone"))
+        save_spectrogram(good, spec)
+        save_spectrogram(bad, dataclasses.replace(spec, frame_hop_s="abc"))
+        result = run_cli("infer", "--model", model_dir / "rand4.csnw", good, bad)
+        assert result.returncode == 2
+        assert [json.loads(line)["clip_id"] for line in result.stdout.splitlines()] == ["tone"]
+        assert "bad.csnw: ValidationError: invalid frame_hop_s 'abc'" in result.stderr
 
 
 class TestInfer:

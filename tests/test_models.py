@@ -313,3 +313,59 @@ class TestNonFiniteWeights:
         bundle.params[key] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             bundle.validate()
+
+
+_OPS = {"conv": "conv2d_same", "batchnorm": "batchnorm_infer", "maxpool": "maxpool_2x2",
+        "global_avg_pool": "global_avg_pool", "dense": "dense"}
+
+
+class TestLayerKindTable:
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "aug_folded_small",
+                                      "fcn_bundle_small", "fcn_folded_small"])
+    def test_operators_looked_up_at_call_time(self, request, monkeypatch, name):
+        # a tracer tags layers by replacing the operators on the nn module
+        bundle = request.getfixturevalue(name)
+        calls = dict.fromkeys([*_OPS.values(), "relu"], 0)
+        for op in calls:
+            def counted(*args, _op=getattr(nn, op), _name=op, **kwargs):
+                calls[_name] += 1
+                return _op(*args, **kwargs)
+            monkeypatch.setattr(nn, op, counted)
+        models.run_layers(bundle, np.stack([random_patch(s).values for s in range(2)])[:, None])
+        layers = bundle.spec.layers
+        expected = {op: sum(l.kind == kind for l in layers) for kind, op in _OPS.items()}
+        expected["relu"] = sum(l.relu for l in layers)
+        assert calls == expected
+
+    @pytest.mark.parametrize("misplaced, before", [
+        (models.LayerDef("x", "conv", in_ch=512, out_ch=512, kernel=3), "fc1"),
+        (models.LayerDef("x", "batchnorm", channels=512), "fc1"),
+        (models.LayerDef("x", "maxpool"), "fc1"),
+        (models.LayerDef("x", "global_avg_pool"), "fc1"),
+        (models.LayerDef("x", "dense", in_units=512, out_units=512), "gap"),
+        (models.LayerDef("x", "upsample"), "fc1"),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_misplaced_kind_rejected(self, misplaced, before):
+        # in aug_vggish, "gap" flattens the map into the [512] vector "fc1" takes
+        layers = list(models.build_aug_vggish(2).layers)
+        at = next(i for i, l in enumerate(layers) if l.name == before)
+        spec = models.ModelSpec(models.ARCH_AUG_VGGISH, 2,
+                                tuple(layers[:at] + [misplaced] + layers[at:]), "fc1", 256)
+        with pytest.raises(ValidationError, match="layer x"):
+            models.init_bundle(spec)
+
+    def test_fcn_needs_32_rows_and_columns(self, fcn_bundle_small):
+        rng = np.random.default_rng(4)
+        for h, w in ((32, 32), (31, 64), (96, 31)):
+            x = rng.normal(0, 1, (1, h, w))
+            if min(h, w) >= 32:
+                assert models.run_layers(fcn_bundle_small, x).shape == (3,)
+                continue
+            assert models.run_layers(fcn_bundle_small, x, "pool4").shape[-2:] == (h // 16, w // 16)
+            with pytest.raises(nn.ShapeError, match="maxpool_2x2"):
+                models.run_layers(fcn_bundle_small, x)
+
+
+@pytest.fixture(scope="module")
+def fcn_folded_small(fcn_bundle_small):
+    return models.fold_batchnorm(fcn_bundle_small)

@@ -120,6 +120,11 @@ class TestBatchNormInfer:
         with pytest.raises(ShapeError):
             nn.BatchNormParams(np.ones(1), np.zeros(1), np.zeros(1), np.array([-1.0]))
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1e-5])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ShapeError, match="epsilon"):
+            nn.BatchNormParams(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), epsilon=epsilon)
+
     def test_channel_mismatch_raises(self):
         params = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         with pytest.raises(ShapeError):

@@ -121,6 +121,16 @@ class TestTrainHead:
         with pytest.raises(ConfigError, match=field):
             transfer.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["batch_size", "epochs"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "4", 0])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            transfer.TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = transfer.TrainConfig(batch_size=np.int64(4), epochs=np.int32(2))
+        assert (cfg.batch_size, cfg.epochs) == (4, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), batch_size=st.integers(1, 48), d=st.integers(1, 12),
            k=st.integers(2, 6), epochs=st.integers(1, 3), seed=st.integers(0, 2**16),
