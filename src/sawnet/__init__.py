@@ -69,4 +69,4 @@ from .transfer import (
     save_embeddings,
     train_head,
 )
-from .wavio import decode_wav, encode_wav
+from .wavio import WavReader, decode_wav, encode_wav

@@ -7,8 +7,10 @@ Exit codes: 0 on success, 2 on data/model errors, 64 on usage errors.
 the others and then exit 2. Diagnostics go to stderr; machine-readable output
 goes to files or stdout.
 File outputs are accompanied by a run manifest (command, resolved config,
-tool version, input digests) with the timestamp isolated in one field so
-repeated runs are byte-comparable.
+tool version, input digests, and for `featurize`, `infer` and `detect` the
+counts of input files processed and failed) with the timestamp isolated in one
+field so repeated runs are byte-comparable. `detect` reads WAV inputs in
+blocks, so its memory does not grow with the recording's length.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .frontend import PATCH_FRAMES, extract_patches, log_mel_spectrogram, resamp
 from .models import count_params, describe_layer, forward_batch
 from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
-from .wavio import decode_wav
+from .wavio import WavReader, decode_wav
 
 _USAGE_EXIT = 64
 _DATA_EXIT = 2
@@ -93,15 +95,27 @@ def _manifest(command: str, config: dict, inputs: list[Path]) -> dict:
     }
 
 
+def _file_manifest(command: str, config: dict, inputs: list[Path], failures: int) -> dict:
+    """`_manifest` plus the counts of input files processed and failed."""
+    manifest = _manifest(command, config, inputs)
+    manifest["files_ok"] = len(inputs) - failures
+    manifest["files_failed"] = failures
+    return manifest
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _is_wav(path: Path) -> bool:
+    """Whether a file starts like a WAV; anything else is read as a feature container."""
+    with open(path, "rb") as fh:
+        return fh.read(4) == b"RIFF"
+
+
 def _load_spectrogram_any(path: Path):
     """Load a spectrogram from either a WAV file or a feature container."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"RIFF":
+    if _is_wav(path):
         clip = resample_to_16k(decode_wav(path.read_bytes(), source_id=path.stem))
         return log_mel_spectrogram(clip)
     spec = load_spectrogram(path)
@@ -138,8 +152,8 @@ def cmd_featurize(args) -> int:
             out_path = out_dir / f"{path.stem}.csnw"
             save_spectrogram(out_path, spec)
         outputs.append(str(out_path))
-    manifest = _manifest("featurize", {"format": args.format, "out_dir": str(out_dir)},
-                         [p for p in inputs if p.is_file()])
+    manifest = _file_manifest("featurize", {"format": args.format, "out_dir": str(out_dir)},
+                              inputs, failures)
     manifest["outputs"] = outputs
     _write_json(out_dir / "featurize_manifest.json", manifest)
     return _DATA_EXIT if failures else 0
@@ -191,7 +205,7 @@ def cmd_infer(args) -> int:
     _emit_lines(lines, args.out)
     if args.out:
         _write_json(Path(args.out).with_suffix(".manifest.json"),
-                    _manifest("infer", {"model": args.model}, inputs))
+                    _file_manifest("infer", {"model": args.model}, inputs, failures))
     return _DATA_EXIT if failures else 0
 
 
@@ -203,11 +217,9 @@ def cmd_detect(args) -> int:
     failures = 0
     for path in inputs:
         try:
-            with open(path, "rb") as fh:
-                is_wav = fh.read(4) == b"RIFF"
-            if is_wav:
-                clip = decode_wav(path.read_bytes(), source_id=path.stem)
-                scores = score_stream(bundle, clip, args.positive_class)
+            if _is_wav(path):
+                with WavReader(path, source_id=path.stem) as wav:
+                    scores = score_stream(bundle, wav, args.positive_class)
             else:
                 spec = load_spectrogram(path)
                 scores = score_spectrogram(bundle, spec, args.positive_class,
@@ -228,7 +240,7 @@ def cmd_detect(args) -> int:
         config = {"model": args.model, "threshold": args.threshold, "gap": args.gap,
                   "positive_class": args.positive_class}
         _write_json(Path(args.out).with_suffix(".manifest.json"),
-                    _manifest("detect", config, inputs))
+                    _file_manifest("detect", config, inputs, failures))
     return _DATA_EXIT if failures else 0
 
 

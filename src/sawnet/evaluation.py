@@ -3,7 +3,10 @@
 A detector run scores every whole second of a clip with the probability of
 the positive class, merges above-threshold seconds into events (optionally
 bridging short dips), and is summarized by a precision-recall curve with
-step-interpolated average precision.
+step-interpolated average precision. `score_stream` goes through a clip one
+batch of seconds at a time, so its memory does not grow with the clip's
+length, and its scores are bit-identical to `score_spectrogram` on the whole
+clip's log-mel.
 """
 
 from __future__ import annotations
@@ -17,17 +20,23 @@ import numpy as np
 
 from .errors import ConfigError, TooShort, UndefinedMetric
 from .frontend import (
+    FRAME_HOP,
+    FRAME_LEN,
+    PATCH_FRAMES,
     SAMPLE_RATE,
     AudioClip,
+    AudioSource,
     LogMelSpectrogram,
     log_mel_spectrogram,
     patch_at_frame,
     resample_to_16k,
+    resampled_length,
 )
-from .models import WeightBundle, forward_batch
-from .nn import sigmoid, softmax
+from .models import WeightBundle, batch_size, forward_batch
+from .nn import softmax
 
 FRAMES_PER_SECOND = 100  # 10 ms hop
+_PATCH_SAMPLES = FRAME_LEN + (PATCH_FRAMES - 1) * FRAME_HOP  # 16 kHz samples under one patch
 
 
 @dataclass(frozen=True)
@@ -52,9 +61,8 @@ class PRCurve:
 
 
 def check_positive_class(positive_class: int, num_classes: int) -> None:
-    """Reject a positive class outside ``[0, num_classes)``; a single-logit
-    binary head (``num_classes == 1``) ignores it."""
-    if num_classes > 1 and not 0 <= positive_class < num_classes:
+    """Reject a positive class outside ``[0, num_classes)``."""
+    if not 0 <= positive_class < num_classes:
         raise ConfigError(
             f"positive_class {positive_class} out of range for {num_classes} classes"
         )
@@ -63,9 +71,17 @@ def check_positive_class(positive_class: int, num_classes: int) -> None:
 def _positive_probabilities(logits: np.ndarray, positive_class: int) -> list[float]:
     """P(positive class) per row of ``[B, K]`` logits."""
     check_positive_class(positive_class, logits.shape[1])
-    if logits.shape[1] == 1:  # single-logit binary head
-        return [sigmoid(float(z)) for z in logits[:, 0]]
     return softmax(logits)[:, positive_class].tolist()
+
+
+def _score_seconds(bundle: WeightBundle, spec: LogMelSpectrogram, count: int,
+                   positive_class: int, clip_id: str, first: int = 0) -> list[SecondScore]:
+    """Scores of seconds ``first, ..., first + count - 1``, whose patches start at
+    frames 0, 100, ... of `spec`, from one `forward_batch`."""
+    patches = [patch_at_frame(spec, s * FRAMES_PER_SECOND) for s in range(count)]
+    probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
+    return [SecondScore(clip_id=clip_id, second_index=first + s, probability=p)
+            for s, p in enumerate(probabilities)]
 
 
 def score_spectrogram(
@@ -83,26 +99,37 @@ def score_spectrogram(
     seconds = spec.whole_seconds
     if seconds < 1:
         raise TooShort(f"spectrogram {clip_id or spec.source_id!r} covers less than one second")
-    patches = [patch_at_frame(spec, s * FRAMES_PER_SECOND) for s in range(seconds)]
-    probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
-    return [
-        SecondScore(clip_id=clip_id or spec.source_id, second_index=s, probability=p)
-        for s, p in enumerate(probabilities)
-    ]
+    return _score_seconds(bundle, spec, seconds, positive_class, clip_id or spec.source_id)
 
 
-def score_stream(bundle: WeightBundle, clip: AudioClip, positive_class: int) -> list[SecondScore]:
-    """Score each whole second of a clip with P(positive class).
+def score_stream(bundle: WeightBundle, clip: AudioSource, positive_class: int) -> list[SecondScore]:
+    """Score each whole second of a clip with P(positive class), softmax at `positive_class`.
 
-    The clip is resampled to 16 kHz; second s is scored from the 96-frame
-    patch starting at its first frame. Two-class bundles with a single logit
-    are read through a sigmoid, otherwise softmax at `positive_class`.
+    `clip` is an AudioClip or a source read by range, such as a
+    `wavio.WavReader` on a file. Second s is scored from the 96-frame patch at
+    its first frame, which covers 16 kHz samples ``[16000 s, 16000 s + 15600)``.
+    Seconds go in blocks of `models.batch_size(bundle)`: each block resamples
+    its own range of the clip, computes the frames its patches use and makes
+    one `forward_batch` call, so memory is bounded by one block. The forward
+    chunks are those of `score_spectrogram` on the whole clip's log-mel, and
+    the scores are bit-identical to it. The blocks' 16 kHz ranges tile the
+    clip up to its end, so every input sample is read: a bad sample anywhere
+    in a file fails the whole clip, as `wavio.decode_wav` would.
     """
-    resampled = resample_to_16k(clip)
-    if len(resampled.samples) < SAMPLE_RATE:
+    num_samples = resampled_length(clip.num_samples, clip.sample_rate)
+    seconds = num_samples // SAMPLE_RATE
+    if seconds < 1:
         raise TooShort(f"clip {clip.source_id!r} is shorter than one second")
-    spec = log_mel_spectrogram(resampled)
-    return score_spectrogram(bundle, spec, positive_class, clip_id=clip.source_id)
+    step = batch_size(bundle)
+    scores: list[SecondScore] = []
+    for first in range(0, seconds, step):
+        count = min(step, seconds - first)
+        stop = num_samples if first + count == seconds else (first + count) * SAMPLE_RATE
+        block = resample_to_16k(clip, first * SAMPLE_RATE, stop).samples
+        used = AudioClip(block[:(count - 1) * SAMPLE_RATE + _PATCH_SAMPLES], SAMPLE_RATE)
+        scores += _score_seconds(bundle, log_mel_spectrogram(used), count, positive_class,
+                                 clip.source_id, first)
+    return scores
 
 
 def merge_events(

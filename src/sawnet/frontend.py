@@ -11,12 +11,20 @@ Patches are 96 consecutive frames (0.96 s), the unit the networks consume.
 The convention is summarized in PREPROC_TAG, which weight bundles carry so a
 mismatched frontend is caught at load time instead of silently degrading
 accuracy.
+
+Every step is local: a resampled output sample depends on the input samples
+within the low-pass filter's 50-sample halo of its position, and a frame on
+its 400 samples. So `resample_to_16k` also computes any output range of a clip
+from only the input it needs, bit-identical to that slice of the whole-clip
+output, and a clip can be an `AudioClip` in memory or a source read by range
+(`AudioSource`, such as `wavio.WavReader`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Protocol
 
 import numpy as np
 
@@ -55,6 +63,27 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
+
+    @property
+    def num_samples(self) -> int:
+        return len(self.samples)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``[lo, hi)``, as a view."""
+        return self.samples[lo:hi]
+
+
+class AudioSource(Protocol):
+    """Mono audio read by sample range: an `AudioClip`, or a `wavio.WavReader` on a file.
+
+    ``read(lo, hi)`` returns the float32 samples ``[lo, hi)`` of `num_samples`.
+    """
+
+    sample_rate: int
+    source_id: str
+    num_samples: int
+
+    def read(self, lo: int, hi: int) -> np.ndarray: ...
 
 
 @dataclass
@@ -159,32 +188,64 @@ def _cached_filterbank(num_fft_bins: int, num_bands: int, fmin: float, fmax: flo
     return fb
 
 
-def _design_lowpass(cutoff_hz: float, sample_rate: float, taps: int = _LOWPASS_TAPS) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _design_lowpass(sample_rate: int, cutoff_hz: float = _LOWPASS_CUTOFF_HZ,
+                    taps: int = _LOWPASS_TAPS) -> np.ndarray:
     # Hann-windowed sinc, normalized to unit DC gain so constants pass through.
     n = np.arange(taps) - (taps - 1) / 2.0
     nu = cutoff_hz / sample_rate
     h = 2.0 * nu * np.sinc(2.0 * nu * n) * np.hanning(taps)
-    return h / h.sum()
+    h /= h.sum()
+    h.setflags(write=False)
+    return h
 
 
-def resample_to_16k(clip: AudioClip) -> AudioClip:
-    """Resample a clip to 16 kHz by linear interpolation.
+def resampled_length(num_samples: int, sample_rate: int) -> int:
+    """Samples `resample_to_16k` yields for a whole clip of `num_samples` at `sample_rate`."""
+    if sample_rate == SAMPLE_RATE:
+        return num_samples
+    return round(num_samples * SAMPLE_RATE / sample_rate)
 
-    Downsampling is preceded by a windowed-sinc low-pass just under the new
-    Nyquist band; a clip already at 16 kHz is returned unchanged.
+
+def resample_to_16k(clip: AudioSource, start: int = 0, stop: int | None = None) -> AudioClip:
+    """Resample a clip, or the output samples ``[start, stop)`` of it, to 16 kHz.
+
+    Output sample i is the linear interpolation of the input at position
+    ``i * sample_rate / 16000``. Downsampling is preceded by a windowed-sinc
+    low-pass just under the new Nyquist band. Past the clip's ends, the filter
+    and the interpolation see its first or last sample repeated. A range reads
+    only the input it needs (the filter's 50-sample halo around the positions,
+    and one sample past the last one), so it is bit-identical to the same slice
+    of the whole-clip output. A whole AudioClip already at 16 kHz is returned
+    unchanged.
     """
-    if clip.sample_rate <= 0:
-        raise ConfigError(f"sample rate must be positive, got {clip.sample_rate}")
-    if clip.sample_rate == SAMPLE_RATE:
-        return clip
-    x = clip.samples.astype(np.float64)
-    if clip.sample_rate > SAMPLE_RATE:
-        h = _design_lowpass(_LOWPASS_CUTOFF_HZ, clip.sample_rate)
+    rate = clip.sample_rate
+    if rate <= 0:
+        raise ConfigError(f"sample rate must be positive, got {rate}")
+    n = clip.num_samples
+    n_out = resampled_length(n, rate)
+    if stop is None:
+        if rate == SAMPLE_RATE and start == 0 and isinstance(clip, AudioClip):
+            return clip
+        stop = n_out
+    if not 0 <= start <= stop <= n_out:
+        raise ConfigError(f"output range [{start}, {stop}) outside [0, {n_out})")
+    if rate == SAMPLE_RATE:
+        return AudioClip(clip.read(start, stop), SAMPLE_RATE, clip.source_id)
+    if start == stop:
+        return AudioClip(np.zeros(0, np.float32), SAMPLE_RATE, clip.source_id)
+    positions = np.arange(start, stop) * (rate / SAMPLE_RATE)
+    lo, hi = int(positions[0]), min(int(positions[-1]) + 2, n)
+    if rate > SAMPLE_RATE:
+        h = _design_lowpass(rate)
         half = (len(h) - 1) // 2
-        x = np.convolve(np.pad(x, (half, half), mode="edge"), h, mode="valid")
-    n_out = round(len(x) * SAMPLE_RATE / clip.sample_rate)
-    positions = np.arange(n_out) * (clip.sample_rate / SAMPLE_RATE)
-    out = np.interp(positions, np.arange(len(x)), x)
+        a, b = max(lo - half, 0), min(hi + half, n)
+        x = np.pad(clip.read(a, b).astype(np.float64), (a - (lo - half), hi + half - b),
+                   mode="edge")
+        x = np.convolve(x, h, mode="valid")
+    else:
+        x = clip.read(lo, hi).astype(np.float64)
+    out = np.interp(positions, np.arange(lo, hi), x)
     return AudioClip(out.astype(np.float32), SAMPLE_RATE, clip.source_id)
 
 

@@ -288,15 +288,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def sigmoid(logit: float) -> float:
-    """Logistic function ``1 / (1 + exp(-z))``, stable for large |z|."""
-    z = float(logit)
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return float(e / (1.0 + e))
-
-
 def cross_entropy_grad(logits: np.ndarray, true_class: int) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy loss and its gradient w.r.t. the logits.
 

@@ -8,7 +8,7 @@ import pytest
 
 import sawnet
 from sawnet import frontend, models
-from sawnet.wavio import encode_wav
+from sawnet.wavio import encode_wav, wav_header
 
 # the child process imports the same sawnet as the tests, installed or not
 _CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -21,6 +21,27 @@ def run_cli(*args, cwd=None):
         [sys.executable, "-m", "sawnet", *map(str, args)],
         capture_output=True, text=True, cwd=cwd, env=_CLI_ENV,
     )
+
+
+def write_long_wav(path, seconds: float, sample_rate: int = 44100, channels: int = 2,
+                   seed: int = 0, block_s: float = 10.0):
+    """Write a seeded PCM16 WAV of tones in noise, `block_s` seconds at a time.
+
+    Only one block is ever held, so the file can be far larger than the test
+    should use in memory.
+    """
+    frames = int(seconds * sample_rate)
+    block = int(block_s * sample_rate)
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(100.0, 4000.0, channels)
+    header = wav_header(frames, sample_rate, "pcm16", channels)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for lo in range(0, frames, block):
+            t = np.arange(lo, min(lo + block, frames))[:, None] / sample_rate
+            samples = 0.3 * np.sin(2 * np.pi * freqs * t) + rng.normal(0, 0.05, (len(t), channels))
+            fh.write(encode_wav(samples, sample_rate, channels=channels)[len(header):])
+    return path
 
 
 def sine_clip(freq_hz: float, duration_s: float, sample_rate: int = 16000,

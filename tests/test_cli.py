@@ -7,11 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import run_cli, sine_clip
+from conftest import random_bn_stats, run_cli, sine_clip
 from sawnet import models, transfer
-from sawnet.bundle import save_bundle, save_spectrogram
-from sawnet.frontend import log_mel_spectrogram
-from sawnet.wavio import encode_wav
+from sawnet.bundle import load_bundle, save_bundle, save_spectrogram
+from sawnet.evaluation import score_spectrogram
+from sawnet.frontend import log_mel_spectrogram, patch_at_frame, resample_to_16k
+from sawnet.wavio import decode_wav, encode_wav
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,108 @@ class TestPerFileFailures:
         assert result.returncode == 2
         assert [json.loads(line)["clip_id"] for line in result.stdout.splitlines()] == ["tone"]
         assert "bad.csnw: ValidationError: invalid frame_hop_s 'abc'" in result.stderr
+
+
+    def test_detect_drops_a_file_that_fails_mid_stream(self, tmp_path, model_dir, wav_dir):
+        samples = np.zeros(6 * 16000, np.float32)
+        samples[5 * 16000 + 8000] = np.nan  # past the last second's patch
+        late = tmp_path / "late_nan.wav"
+        late.write_bytes(encode_wav(samples, 16000, fmt="float32"))
+        out = tmp_path / "events.jsonl"
+        result = run_cli("detect", "--model", model_dir / "zero2.csnw", "--threshold", "0.4",
+                         "--out", out, late, wav_dir / "tone.wav")
+        assert result.returncode == 2
+        assert [json.loads(line)["clip_id"] for line in out.read_text().splitlines()] == ["tone"]
+        assert "late_nan.wav: DecodeError: payload contains non-finite samples" in result.stderr
+
+
+class TestManifestCounts:
+    def test_counts_with_bad_files_among_good(self, tmp_path, model_dir, mixed_inputs):
+        runs = {
+            "featurize": ["featurize", *mixed_inputs, "--out-dir", tmp_path / "feat"],
+            "infer": ["infer", "--model", model_dir / "rand4.csnw", *mixed_inputs,
+                      "--out", tmp_path / "rows.jsonl"],
+            "detect": ["detect", "--model", model_dir / "zero2.csnw", *mixed_inputs,
+                       "--out", tmp_path / "events.jsonl"],
+        }
+        manifests = {"featurize": tmp_path / "feat" / "featurize_manifest.json",
+                     "infer": tmp_path / "rows.manifest.json",
+                     "detect": tmp_path / "events.manifest.json"}
+        for command, args in runs.items():
+            texts = []
+            for _ in range(2):
+                assert run_cli(*args).returncode == 2
+                texts.append(manifests[command].read_text())
+            manifest = json.loads(texts[0])
+            assert (manifest["files_ok"], manifest["files_failed"]) == (2, 2), command
+            stable = [re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": "X"', t)
+                      for t in texts]
+            assert stable[0] == stable[1] and texts[0].count("timestamp_utc") == 1
+
+    def test_counts_all_good(self, tmp_path, model_dir, wav_dir):
+        out = tmp_path / "events.jsonl"
+        assert run_cli("detect", "--model", model_dir / "zero2.csnw", "--out", out,
+                       wav_dir / "tone.wav").returncode == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert (manifest["files_ok"], manifest["files_failed"]) == (1, 0)
+
+
+def _calibrate_last_layer(net: models.WeightBundle, specs) -> None:
+    """Rescale the layer that makes the logits so that P(class 1) spreads over
+    (0, 1) on the seconds of `specs`, centred on their median."""
+    patches = [patch_at_frame(spec, 100 * s) for spec in specs
+               for s in range(spec.whole_seconds)]
+    diff = np.diff(models.forward_batch(net, patches), axis=1)[:, 0]
+    layer = next(l.name for l in reversed(net.spec.layers) if l.kind in ("dense", "conv"))
+    alpha = 3.0 / diff.std()
+    for key in [k for k in net.params if k.startswith(f"{layer}/")]:
+        net.params[key] = np.asarray(net.params[key]) * alpha
+    bias = np.array(net.params[f"{layer}/bias"])
+    bias[1] -= alpha * np.median(diff)
+    net.params[f"{layer}/bias"] = bias
+    net.validate()
+
+
+class TestDetectPathIdentity:
+    """`detect` on a WAV (read in blocks) and on its featurized container agree."""
+
+    @pytest.mark.parametrize("arch", ["aug", "fcn"])
+    def test_wav_and_container_events_byte_identical(self, tmp_path, arch):
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        specs = []
+        for rate, channels in ((44100, 2), (16000, 1)):
+            rng = np.random.default_rng(rate)
+            t = np.arange(int(7.6 * rate))[:, None] / rate
+            gate = np.sin(2 * np.pi * 0.15 * t) > 0
+            raw = 0.3 * np.sin(2 * np.pi * rng.uniform(200, 3000, channels) * t) * gate
+            raw += rng.normal(0, 0.05, raw.shape)
+            data = encode_wav(raw if channels == 2 else raw[:, 0], rate, channels=channels)
+            (wavs / f"clip{rate}.wav").write_bytes(data)
+            specs.append(log_mel_spectrogram(resample_to_16k(decode_wav(data))))
+        build = models.build_aug_vggish if arch == "aug" else models.build_fcn_vggish
+        net = random_bn_stats(models.init_bundle(build(2), init="random", seed=91), seed=92)
+        _calibrate_last_layer(net, specs)
+        model = tmp_path / "model.csnw"
+        save_bundle(net, model)
+        # a threshold in the widest gap between per-second probabilities in
+        # (0.1, 0.9), far from any of them
+        probs = np.sort([s.probability for spec in specs
+                         for s in score_spectrogram(load_bundle(model), spec, 1)])
+        probs = probs[(probs > 0.1) & (probs < 0.9)]
+        gap = int(np.argmax(np.diff(probs)))
+        threshold = f"{(probs[gap] + probs[gap + 1]) / 2:.6f}"
+        assert run_cli("featurize", wavs, "--out-dir", tmp_path / "feat").returncode == 0
+        outs = []
+        for name, inputs in (("wav", sorted(wavs.glob("*.wav"))),
+                             ("feat", sorted((tmp_path / "feat").glob("*.csnw")))):
+            outs.append(tmp_path / f"{name}.jsonl")
+            assert run_cli("detect", "--model", model, "--threshold", threshold, "--gap", "0",
+                           "--out", outs[-1], *inputs).returncode == 0
+        events = outs[0].read_bytes()
+        assert events == outs[1].read_bytes()
+        assert {json.loads(line)["clip_id"] for line in events.splitlines()} == \
+            {"clip44100", "clip16000"}
 
 
 class TestInfer:

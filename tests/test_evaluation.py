@@ -5,17 +5,22 @@ precision/recall (and the rational average precision) at every distinct
 threshold from scratch.
 """
 
+import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_long_wav
 from sawnet import bundle, evaluation, frontend, models
-from sawnet.errors import ConfigError, TooShort, UndefinedMetric
+from sawnet.errors import ConfigError, DecodeError, TooShort, UndefinedMetric
 from sawnet.evaluation import SecondScore, accuracy_f1, merge_events, pr_curve, score_stream
 from sawnet.frontend import AudioClip
+from sawnet.wavio import WavReader, decode_wav, encode_wav
 
 
 def pr_reference(scored):
@@ -256,23 +261,122 @@ class TestScoreStream:
         scores = score_stream(bundle, clip, positive_class=1)
         assert len({s.probability for s in scores}) == 1
 
-    def test_single_logit_bundle_uses_sigmoid(self):
-        layers = (
-            models.LayerDef("conv1", "conv", in_ch=1, out_ch=4, kernel=3, relu=True),
-            models.LayerDef("gap", "global_avg_pool"),
-            models.LayerDef("head", "dense", in_units=4, out_units=1),
-        )
-        spec = models.ModelSpec(arch_id="aug_vggish", num_classes=1, layers=layers,
-                                embedding_layer="gap", embedding_dim=4)
-        bundle = models.init_bundle(spec, init="zeros")
-        clip = AudioClip(np.zeros(16000, np.float32), 16000, "sig")
-        scores = score_stream(bundle, clip, positive_class=0)
-        assert scores[0].probability == 0.5  # sigmoid(0)
-
     def test_positive_class_out_of_range(self, zero_bundle):
         clip = AudioClip(np.zeros(16000, np.float32), 16000)
         with pytest.raises(ConfigError):
             score_stream(zero_bundle, clip, positive_class=7)
+
+
+def whole_clip_scores(net, clip, positive_class=1):
+    """The reference: score the whole clip's log-mel in one go."""
+    spec = frontend.log_mel_spectrogram(frontend.resample_to_16k(clip))
+    return evaluation.score_spectrogram(net, spec, positive_class, clip_id=clip.source_id)
+
+
+_RATES = [8000, 16000, 22050, 44100, 48000]
+
+
+def _stream_case(rate, channels, seconds, seed):
+    """WAV bytes of `seconds` of noisy tones, and their decoded clip."""
+    frames = max(int(seconds * rate), 1)
+    rng = np.random.default_rng(seed)
+    t = np.arange(frames)[:, None] / rate
+    raw = 0.4 * np.sin(2 * np.pi * rng.uniform(100, 3000, channels) * t)
+    raw += rng.normal(0, 0.1, (frames, channels))
+    data = encode_wav(raw if channels == 2 else raw[:, 0], rate, channels=channels)
+    return data, decode_wav(data, source_id="c")
+
+
+class TestBlockwiseScoring:
+    """score_stream walks the clip in blocks; the whole-clip path is the reference."""
+
+    @pytest.mark.parametrize("arch", ["aug", "fcn"])
+    @given(rate=st.sampled_from(_RATES), channels=st.sampled_from([1, 2]),
+           seconds=st.floats(1.0, 9.0), seed=st.integers(0, 2**16),
+           from_file=st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_bit_identical_to_whole_clip(self, arch, aug_bundle_small, fcn_bundle_small,
+                                         rate, channels, seconds, seed, from_file):
+        net = aug_bundle_small if arch == "aug" else fcn_bundle_small
+        data, clip = _stream_case(rate, channels, seconds, seed)
+        if frontend.resampled_length(len(clip.samples), rate) < 16000:
+            return
+        want = whole_clip_scores(net, clip)
+        if from_file:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "c.wav"
+                path.write_bytes(data)
+                with WavReader(path, source_id="c") as wav:
+                    got = score_stream(net, wav, positive_class=1)
+        else:
+            got = score_stream(net, clip, positive_class=1)
+        assert got == want
+
+    @given(rate=st.sampled_from(_RATES), channels=st.sampled_from([1, 2]),
+           seconds=st.floats(1.0, 9.0), seed=st.integers(0, 2**16),
+           step=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=80, deadline=None)
+    def test_same_patches_in_same_chunks(self, rate, channels, seconds, seed, step):
+        # the forward is recorded, not run, so many block layouts can be tried
+        _, clip = _stream_case(rate, channels, seconds, seed)
+        if frontend.resampled_length(len(clip.samples), rate) < 16000:
+            return
+        calls = []
+
+        def record(net, patches):
+            calls.append(np.stack([p.values for p in patches]))
+            return np.zeros((len(patches), 2))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "forward_batch", record)
+            mp.setattr(evaluation, "batch_size", lambda net: step)
+            score_stream(None, clip, positive_class=1)
+            blocks, calls[:] = list(calls), []
+            whole_clip_scores(None, clip)
+        [whole] = calls
+        assert [len(b) for b in blocks] == [len(c) for c in np.split(
+            whole, range(step, len(whole), step))]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
+    def test_file_peak_memory_flat_in_length(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "forward_batch",
+                            lambda net, patches: np.zeros((len(patches), 2)))
+        net = models.init_bundle(models.build_aug_vggish(2), init="zeros")
+        peaks = []
+        for minutes in (1, 10):
+            path = write_long_wav(tmp_path / f"{minutes}min.wav", 60 * minutes, seed=minutes)
+            tracemalloc.start()
+            try:
+                with WavReader(path) as wav:
+                    assert len(score_stream(net, wav, positive_class=1)) == 60 * minutes
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            path.unlink()
+        assert peaks[1] <= 1.1 * peaks[0] + 2**20
+
+    def test_too_short_before_any_read(self, zero_bundle):
+        class Unreadable:
+            sample_rate, source_id, num_samples = 44100, "short", 44080
+
+            def read(self, lo, hi):
+                raise AssertionError("read before the length check")
+
+        with pytest.raises(TooShort):
+            score_stream(zero_bundle, Unreadable(), positive_class=1)
+
+    @pytest.mark.parametrize("position", [1000, 31800, 49500])
+    def test_bad_sample_anywhere_fails_the_file(self, tmp_path, zero_bundle, position):
+        # 31,800 lies between the samples two patches read, 49,500 past the
+        # last whole second: neither is under a patch, both fail decode_wav
+        samples = np.zeros(50000, np.float32)
+        samples[position] = np.nan
+        path = tmp_path / "nan.wav"
+        path.write_bytes(encode_wav(samples, 16000, fmt="float32"))
+        with pytest.raises(DecodeError):
+            decode_wav(path.read_bytes())
+        with WavReader(path) as wav, pytest.raises(DecodeError):
+            score_stream(zero_bundle, wav, positive_class=1)
 
 
 class TestPRCsv:

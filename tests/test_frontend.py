@@ -114,6 +114,48 @@ class TestResample:
         assert abs(len(out.samples) - n * 16000 / rate) <= 1.0
 
 
+class TestResampleRanges:
+    @given(rate=st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000]),
+           n=st.integers(1, 30000), seed=st.integers(0, 2**16),
+           cuts=st.lists(st.floats(0, 1), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_range_equals_slice_of_whole_clip(self, rate, n, seed, cuts):
+        samples = np.random.default_rng(seed).uniform(-1, 1, n).astype(np.float32)
+        clip = frontend.AudioClip(samples, rate)
+        whole = frontend.resample_to_16k(clip).samples
+        start, stop = sorted(int(c * len(whole)) for c in cuts)
+        part = frontend.resample_to_16k(clip, start, stop)
+        assert part.sample_rate == 16000
+        np.testing.assert_array_equal(part.samples, whole[start:stop])
+
+    def test_range_reads_only_its_neighbourhood(self):
+        # 1 s of 16 kHz output from the middle of a 60 s 44.1 kHz clip reads
+        # the filter's 50-sample halo around 44,100 positions, and no more
+        reads = []
+
+        class Source(frontend.AudioClip):
+            def read(self, lo, hi):
+                reads.append((lo, hi))
+                return super().read(lo, hi)
+
+        clip = Source(np.zeros(60 * 44100, np.float32), 44100)
+        frontend.resample_to_16k(clip, 16000 * 30, 16000 * 31)
+        [(lo, hi)] = reads
+        assert 30 * 44100 - 50 == lo and hi - lo < 44100 + 102
+
+    def test_range_outside_clip_rejected(self):
+        clip = frontend.AudioClip(np.zeros(441), 44100)
+        for start, stop in ((-1, 10), (10, 5), (0, 161)):
+            with pytest.raises(ConfigError):
+                frontend.resample_to_16k(clip, start, stop)
+
+    def test_whole_length_without_resampling(self):
+        for rate, n in ((16000, 12345), (44100, 44100 * 3 + 7), (8000, 999)):
+            clip = frontend.AudioClip(np.zeros(n, np.float32), rate)
+            assert len(frontend.resample_to_16k(clip).samples) == \
+                frontend.resampled_length(n, rate)
+
+
 class TestLogMelSpectrogram:
     def test_silence_is_exactly_log_offset(self):
         clip = frontend.AudioClip(np.zeros(16000, np.float32), 16000)

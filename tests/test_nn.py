@@ -285,19 +285,6 @@ class TestLogSoftmax:
                 nn.log_softmax(np.zeros(shape))
 
 
-class TestSigmoid:
-    def test_zero(self):
-        assert nn.sigmoid(0.0) == 0.5
-
-    def test_closed_form(self):
-        assert abs(nn.sigmoid(math.log(3.0)) - 0.75) < 1e-12
-        assert abs(nn.sigmoid(-math.log(3.0)) - 0.25) < 1e-12
-
-    @given(st.floats(-700, 700))
-    def test_symmetry(self, z):
-        assert abs(nn.sigmoid(-z) - (1.0 - nn.sigmoid(z))) < 1e-12
-
-
 class TestCrossEntropyGrad:
     def test_worked_example(self):
         loss, grad = nn.cross_entropy_grad(np.array([0.0, 0.0]), 0)

@@ -1,14 +1,16 @@
 """RIFF/WAVE decoder tests, including hand-crafted malformed containers."""
 
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sawnet.errors import DecodeError, UnsupportedFormat
-from sawnet.wavio import decode_wav, encode_wav
+from sawnet.errors import ConfigError, DecodeError, UnsupportedFormat
+from sawnet.wavio import WavReader, decode_wav, encode_wav
 
 
 def make_wav(audio_format=1, channels=1, sample_rate=16000, bits=16,
@@ -164,3 +166,109 @@ class TestEncode:
         clip = decode_wav(encode_wav(np.array([2.0, -2.0]), 16000))
         assert clip.samples[0] == pytest.approx(32767 / 32768, abs=0)
         assert clip.samples[1] == -1.0
+
+
+def _old_decode(payload: bytes, dtype: str, scale: float, channels: int) -> np.ndarray:
+    """The decoding formula `decode_wav` used before it decoded in place."""
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32) * np.float32(scale)
+    return samples.reshape(-1, 2).mean(axis=1) if channels == 2 else samples
+
+
+_FORMATS = {"pcm16": ("<i2", 1.0 / 32768.0), "float32": ("<f4", 1.0)}
+
+
+class TestDecodeInPlace:
+    @given(fmt=st.sampled_from(sorted(_FORMATS)), channels=st.sampled_from([1, 2]),
+           frames=st.integers(1, 300), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_samples_equal_old_formula(self, fmt, channels, frames, seed):
+        raw = np.random.default_rng(seed).uniform(-1.2, 1.2, (frames, channels))
+        data = encode_wav(raw if channels == 2 else raw[:, 0], 22050, fmt=fmt,
+                          channels=channels)
+        dtype, scale = _FORMATS[fmt]
+        want = _old_decode(data[44:], dtype, scale, channels)
+        got = decode_wav(data).samples
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+    def test_stereo_pcm16_peak_below_3_3x_data_chunk(self):
+        # the old path copied the data chunk, then held float32 frames and
+        # their mixdown: 4x the chunk
+        raw = np.random.default_rng(5).uniform(-0.5, 0.5, (44100 * 5, 2))
+        data = encode_wav(raw, 44100, channels=2)
+        tracemalloc.start()
+        try:
+            decode_wav(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.3 * (len(data) - 44)
+
+
+@pytest.fixture()
+def wav_path(tmp_path):
+    def _write(data: bytes, name: str = "clip.wav"):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return path
+
+    return _write
+
+
+class TestWavReader:
+    @given(fmt=st.sampled_from(sorted(_FORMATS)), channels=st.sampled_from([1, 2]),
+           frames=st.integers(1, 500), seed=st.integers(0, 2**16),
+           cuts=st.lists(st.floats(0, 1), min_size=2, max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_ranges_match_decode_wav(self, tmp_path_factory, fmt, channels, frames, seed, cuts):
+        raw = np.random.default_rng(seed).uniform(-1.2, 1.2, (frames, channels))
+        data = encode_wav(raw if channels == 2 else raw[:, 0], 48000, fmt=fmt,
+                          channels=channels)
+        # a chunk before the data moves its offset off the 44-byte default
+        data = data[:36] + b"LIST" + struct.pack("<I", 3) + b"abc\x00" + data[36:]
+        data = data[:4] + struct.pack("<I", len(data) - 8) + data[8:]
+        path = tmp_path_factory.mktemp("reader") / "clip.wav"
+        path.write_bytes(data)
+        whole = decode_wav(data)
+        lo, hi = sorted(int(c * frames) for c in cuts)
+        with WavReader(path, source_id="r") as reader:
+            assert (reader.sample_rate, reader.num_samples) == (48000, frames)
+            np.testing.assert_array_equal(reader.read(lo, hi), whole.samples[lo:hi])
+            np.testing.assert_array_equal(reader.read(0, frames), whole.samples)
+
+    def test_header_errors_match_decode_wav(self, wav_path):
+        for data in (make_wav()[:-1], make_wav(bits=24, payload=b"\x00" * 3),
+                     b"RIFF\x04\x00\x00\x00WAVE", b"OggS" + bytes(40)):
+            with pytest.raises((DecodeError, UnsupportedFormat)) as from_bytes:
+                decode_wav(data)
+            with pytest.raises(type(from_bytes.value), match=re.escape(str(from_bytes.value))):
+                WavReader(wav_path(data))
+
+    def test_non_finite_sample_fails_its_range(self, wav_path):
+        samples = np.zeros(100, np.float32)
+        samples[70] = np.nan
+        path = wav_path(encode_wav(samples, 16000, fmt="float32"))
+        with WavReader(path) as reader:
+            np.testing.assert_array_equal(reader.read(0, 70), np.zeros(70, np.float32))
+            with pytest.raises(DecodeError, match="non-finite"):
+                reader.read(60, 80)
+
+    def test_range_outside_file_rejected(self, wav_path):
+        with WavReader(wav_path(make_wav(payload=b"\x00" * 8))) as reader:
+            for lo, hi in ((-1, 2), (3, 2), (0, 5)):
+                with pytest.raises(ConfigError):
+                    reader.read(lo, hi)
+
+    def test_file_shrunk_after_open_raises_decode_error(self, wav_path):
+        path = wav_path(encode_wav(np.zeros(100_000), 16000))
+        with WavReader(path) as reader:
+            path.write_bytes(path.read_bytes()[:100])
+            with pytest.raises(DecodeError, match="early"):
+                reader.read(0, 100_000)
+
+    def test_closes_its_file(self, wav_path):
+        reader = WavReader(wav_path(make_wav()))
+        with reader:
+            pass
+        with pytest.raises(ValueError):
+            reader.read(0, 1)
