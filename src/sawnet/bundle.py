@@ -208,7 +208,7 @@ def load_bundle(path, check_preproc: bool = True) -> WeightBundle:
     spec = build_arch(arch_id, num_classes)
     if header.get("folded", False):
         spec = fold_spec(spec)
-    # validation casts each float32 view to float64 once, in place in `tensors`
+    # the read-only float32 tensors become the weights as they are, uncopied
     return WeightBundle(spec=spec, params=tensors, preproc_tag=preproc_tag,
                         epsilon=epsilon)
 

@@ -7,9 +7,10 @@ Exit codes: 0 on success, 2 on data/model errors, 64 on usage errors.
 the others and then exit 2. Diagnostics go to stderr; machine-readable output
 goes to files or stdout.
 File outputs are accompanied by a run manifest (command, resolved config,
-tool version, input digests, and for `featurize`, `infer` and `detect` the
-counts of input files processed and failed) with the timestamp isolated in one
-field so repeated runs are byte-comparable. `detect` reads WAV inputs in
+tool version, input digests, for `featurize`, `infer` and `detect` the counts
+of input files processed and failed, and for `infer` and `detect` the
+`compute_dtype` the network ran in) with the timestamp isolated in one field
+so repeated runs are byte-comparable. `detect` reads WAV inputs in
 blocks, so its memory does not grow with the recording's length.
 """
 
@@ -29,7 +30,7 @@ from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_conta
 from .errors import SawnetError
 from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
 from .frontend import PATCH_FRAMES, extract_patches, log_mel_spectrogram, resample_to_16k
-from .models import count_params, describe_layer, forward_batch
+from .models import WeightBundle, count_params, describe_layer, forward_batch
 from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
 from .wavio import WavReader, decode_wav
@@ -95,11 +96,15 @@ def _manifest(command: str, config: dict, inputs: list[Path]) -> dict:
     }
 
 
-def _file_manifest(command: str, config: dict, inputs: list[Path], failures: int) -> dict:
-    """`_manifest` plus the counts of input files processed and failed."""
+def _file_manifest(command: str, config: dict, inputs: list[Path], failures: int,
+                   bundle: WeightBundle | None = None) -> dict:
+    """`_manifest` plus the counts of input files processed and failed, and the
+    dtype `bundle` computed in."""
     manifest = _manifest(command, config, inputs)
     manifest["files_ok"] = len(inputs) - failures
     manifest["files_failed"] = failures
+    if bundle is not None:
+        manifest["compute_dtype"] = str(bundle.dtype)
     return manifest
 
 
@@ -172,6 +177,8 @@ def cmd_info(args) -> int:
         print(f"  {layer.name:8s} {layer.kind:16s}{describe_layer(layer)}")
     print(f"embedding_dim: {spec.embedding_dim}")
     print(f"trainable_params: {count_params(spec)}")
+    print(f"compute_dtype: {bundle.dtype}")
+    print(f"weight_bytes: {bundle.nbytes}")
     return 0
 
 
@@ -205,7 +212,7 @@ def cmd_infer(args) -> int:
     _emit_lines(lines, args.out)
     if args.out:
         _write_json(Path(args.out).with_suffix(".manifest.json"),
-                    _file_manifest("infer", {"model": args.model}, inputs, failures))
+                    _file_manifest("infer", {"model": args.model}, inputs, failures, bundle))
     return _DATA_EXIT if failures else 0
 
 
@@ -240,7 +247,7 @@ def cmd_detect(args) -> int:
         config = {"model": args.model, "threshold": args.threshold, "gap": args.gap,
                   "positive_class": args.positive_class}
         _write_json(Path(args.out).with_suffix(".manifest.json"),
-                    _file_manifest("detect", config, inputs, failures))
+                    _file_manifest("detect", config, inputs, failures, bundle))
     return _DATA_EXIT if failures else 0
 
 

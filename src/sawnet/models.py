@@ -258,11 +258,14 @@ class WeightBundle:
     "bn1/gamma", "fc1/weights". `epsilon` is shared by every batch-norm
     layer; `preproc_tag` records the frontend convention the weights expect.
 
-    Validation checks each tensor for non-finite values once, in its own
-    dtype, then replaces it by a read-only float64 array (a float64 array
-    passed in is kept, not copied, and becomes read-only) and the layer
-    operators view those same arrays, so the weights are held once, at twice
-    the size of their float32 container.
+    `dtype` is the bundle's compute dtype, the promoted dtype of its tensors:
+    float32 for every bundle loaded from a container, float64 when an
+    in-memory bundle is given float64 arrays (the reference path). Validation
+    checks each tensor for non-finite values once, then makes it a read-only
+    array of that dtype (an array already in it is kept, not copied, and
+    becomes read-only; a non-float one becomes float32) and the layer
+    operators view those same arrays, so the weights are held once, at the
+    size of their float32 container.
     """
 
     spec: ModelSpec
@@ -270,6 +273,7 @@ class WeightBundle:
     preproc_tag: str = PREPROC_TAG
     epsilon: float = DEFAULT_EPSILON
     _objs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    dtype: np.dtype = field(default=np.dtype(np.float32), init=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -277,6 +281,7 @@ class WeightBundle:
     def validate(self) -> None:
         """Check params against the layer list and build the operator cache."""
         _validate_chain(self.spec)
+        self.dtype = np.result_type(np.float32, *{_float_dtype(a) for a in self.params.values()})
         objs: dict[str, object] = {}
         expected: set[str] = set()
         for layer in self.spec.layers:
@@ -291,11 +296,10 @@ class WeightBundle:
                     raise ValidationError(
                         f"tensor {key!r} has shape {src.shape}, expected {shape}"
                     )
-                # scanned before the cast: half the bytes for a float32 source
                 if not np.all(np.isfinite(src)):
                     raise ValidationError(
                         f"layer {layer.name}: {suffix} contains non-finite values")
-                arr = np.asarray(src, dtype=np.float64)
+                arr = np.asarray(src, dtype=self.dtype)
                 arr.setflags(write=False)
                 self.params[key] = tensors[suffix] = arr
             try:
@@ -311,6 +315,16 @@ class WeightBundle:
     @property
     def folded(self) -> bool:
         return not any(l.kind == "batchnorm" for l in self.spec.layers)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of weights held."""
+        return sum(a.nbytes for a in self.params.values())
+
+
+def _float_dtype(a) -> np.dtype:
+    """Tensor `a`'s part in a bundle's dtype: float64 for float64, else float32."""
+    return np.dtype(np.float64 if np.asarray(a).dtype == np.float64 else np.float32)
 
 
 def init_bundle(
@@ -345,20 +359,25 @@ def init_bundle(
 def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = None) -> np.ndarray:
     """Execute the layer list on a [C, H, W] patch or a [B, C, H, W] batch.
 
-    One operator call per layer, whatever the batch size. `stop_after` names
-    a layer; its output (after any ReLU it owns) is returned and the
-    remaining layers are skipped. Batch norm and ReLU overwrite the float64
-    intermediates this function made, never the caller's `x`, so a step
-    holds one copy of its map instead of three.
+    The input is copied into `bundle.dtype` once, so every layer computes in
+    the weights' own dtype and the caller's `x` is never written: a float32
+    bundle rounds a float64 patch to float32 here, the rounding a feature
+    container stores. One operator call per layer, whatever the batch size.
+    `stop_after` names a layer; its output (after any ReLU it owns) is
+    returned and the remaining layers are skipped. Every array held here is
+    this function's own (the input copy, then each operator's new result), so
+    batch norm and ReLU overwrite it in place and a step holds one copy of
+    its map instead of three.
     """
-    x = inp = np.asarray(x)
+    x = np.asarray(x)
     if x.ndim not in (3, 4):
         raise ValidationError(
             f"network input must be [C, H, W] or [B, C, H, W], got shape {x.shape}")
+    x = x.astype(bundle.dtype)
     for layer in bundle.spec.layers:
-        x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name), _scratch(x, inp))
+        x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name), x)
         if layer.relu:
-            x = nn.relu(x, out=_scratch(x, inp))
+            x = nn.relu(x, out=x)
         if layer.name == stop_after:
             return x
     if stop_after is not None:
@@ -366,26 +385,20 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
     return x
 
 
-def _scratch(x: np.ndarray, inp: np.ndarray) -> np.ndarray | None:
-    """`x` as an in-place target: an intermediate of `run_layers` (every
-    operator returns a new array) in the float64 of the bundle's weights."""
-    return None if x is inp or x.dtype != np.float64 else x
-
-
 def batch_size(bundle: WeightBundle) -> int:
     """Patches per `run_layers` call in `forward_batch`.
 
     ``max(1, weight bytes // (10 * activation bytes))``, where the activation
-    is the largest float64 layer output of one 96x64 patch: 1 for aug_vggish,
-    4 for fcn_vggish. Within a call, `nn.conv2d_same` splits the batch again
-    per layer, so that a layer's patches share one product only while its
-    kernels outweigh their im2col block; the two rules together decide how
-    patches share the weight passes.
+    is the largest layer output of one 96x64 patch in `bundle.dtype`. Weights
+    and activations share that dtype, so the rule gives 1 for aug_vggish and
+    4 for fcn_vggish in float32 and in float64 alike. Within a call,
+    `nn.conv2d_same` splits the batch again per layer, so that a layer's
+    patches share one product only while its kernels outweigh their im2col
+    block; the two rules together decide how patches share the weight passes.
     """
-    weight_bytes = sum(a.nbytes for a in bundle.params.values())
     activation_bytes = (max(map(math.prod, _activation_shapes(bundle.spec)))
-                        * np.float64().itemsize)
-    return max(1, weight_bytes // (_WEIGHTS_PER_ACTIVATION * activation_bytes))
+                        * bundle.dtype.itemsize)
+    return max(1, bundle.nbytes // (_WEIGHTS_PER_ACTIVATION * activation_bytes))
 
 
 def forward_batch(bundle: WeightBundle, patches: Sequence[LogMelPatch],
@@ -465,15 +478,17 @@ def fold_batchnorm(bundle: WeightBundle) -> WeightBundle:
             params.update({f"{n}/{suffix}": np.asarray(bundle.params[f"{n}/{suffix}"])
                            for suffix in param_shapes(layer)})
             continue
-        scale = bundle.params[f"{n}/gamma"] / np.sqrt(bundle.params[f"{n}/var"] + bundle.epsilon)
-        kernels = params[f"{prev_conv}/kernels"]
-        bias = params[f"{prev_conv}/bias"]
-        # rounded to the container's float32, so a folded bundle forwards
-        # identically before and after save_bundle
-        params[f"{prev_conv}/kernels"] = (kernels * scale[:, None, None, None]).astype(np.float32)
+        # folded in float64 whatever the bundle's dtype, then rounded to the
+        # container's float32, so a folded float32 bundle forwards identically
+        # before and after save_bundle
+        t = {key: np.asarray(bundle.params[key], np.float64) for key in (
+            f"{n}/gamma", f"{n}/beta", f"{n}/mean", f"{n}/var",
+            f"{prev_conv}/kernels", f"{prev_conv}/bias")}
+        scale = t[f"{n}/gamma"] / np.sqrt(t[f"{n}/var"] + bundle.epsilon)
+        params[f"{prev_conv}/kernels"] = (
+            t[f"{prev_conv}/kernels"] * scale[:, None, None, None]).astype(np.float32)
         params[f"{prev_conv}/bias"] = (
-            (bias - bundle.params[f"{n}/mean"]) * scale + bundle.params[f"{n}/beta"]
-        ).astype(np.float32)
+            (t[f"{prev_conv}/bias"] - t[f"{n}/mean"]) * scale + t[f"{n}/beta"]).astype(np.float32)
     return WeightBundle(
         spec=folded_spec, params=params, preproc_tag=bundle.preproc_tag, epsilon=bundle.epsilon
     )

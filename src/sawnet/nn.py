@@ -6,19 +6,20 @@ batch of vectors is ``[B, K]``. Every map and vector operator takes either form
 and treats the items of a batch independently: a batch gives per item what
 single calls give, up to the last-bit rounding of a differently blocked matrix
 product. A conv returns channels-first views of channels-last memory (its
-matrix product's row order). Every operator accumulates in float64 and casts
-the result back to the promoted dtype of its inputs and parameters, so float32
-inputs with float32 parameters stay float32 without losing digits in long
-reductions.
+matrix product's row order). Every operator computes in the promoted dtype of
+its input and parameters: float32 maps with float32 parameters run float32
+matrix products and multiplies, and anything with a float64 operand runs in
+float64. The one exception is the dense head's loss path: `softmax`,
+`log_softmax` and `cross_entropy_grad` always work in float64.
 
 Parameter objects hold read-only views of the arrays they are given, never
 copies, and prepare what every call needs once at construction: a conv keeps
 its kernels as an ``[out, in*k*k]`` matrix, a batch norm its per-channel scale
 and shift. They reject non-finite values unless built with
 ``assume_finite=True`` by a caller that has already scanned them.
-`models.WeightBundle` does so, scanning the float32 source once before its
-cast, and hands them read-only float64 arrays, so a network forward casts no
-weight (and its activations are float64).
+`models.WeightBundle` does so, scanning each tensor once, and hands them its
+read-only arrays in the bundle's own dtype, so a network forward casts no
+weight.
 
 Only the dense head has a backward path (`cross_entropy_grad` plus the
 closed-form dense gradient assembled by the training loop); convolution and
@@ -88,7 +89,8 @@ class BatchNormParams:
     """Per-channel affine renormalization statistics (inference form).
 
     `scale` = gamma / sqrt(var + eps) and `shift` = beta - mean * scale are
-    computed once, in float64.
+    computed once, in float64; `batchnorm_infer` rounds them to float32 for a
+    float32 map with float32 statistics.
     """
 
     gamma: np.ndarray
@@ -137,7 +139,8 @@ class DenseParams:
         object.__setattr__(self, "weights", _readonly(self.weights, "weights", check))
         if self.weights.ndim != 2:
             raise ShapeError(f"weights must be 2-D, got shape {self.weights.shape}")
-        bias = np.zeros(self.weights.shape[0]) if self.bias is None else self.bias
+        bias = (np.zeros(self.weights.shape[0], self.weights.dtype) if self.bias is None
+                else self.bias)
         object.__setattr__(self, "bias", _readonly(bias, "bias", check))
         if self.bias.shape != (self.weights.shape[0],):
             raise ShapeError(
@@ -161,31 +164,29 @@ def _check_maps(x: np.ndarray, op: str) -> np.ndarray:
     return x
 
 
-def _cast_back(result64: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
-    return result64.astype(np.result_type(*inputs), copy=False)
-
-
 def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Stride-1 'same' 2-D convolution: ``[(B,) C_in, H, W] -> [(B,) C_out, H, W]``.
 
     Zero padding keeps the spatial size; out-of-range taps contribute 0.
-    Implemented as im2col + matmul with float64 accumulation. The im2col
-    matrix is gathered in source order, ``[C_in*k*k, items*H*W]``, so the copy
-    moves whole rows of W; the product runs on its transpose. Items of a batch
-    share one product only while the kernel matrix outweighs their im2col
-    block, so a batch never holds more im2col than the larger of the kernels
-    and one item's block. This split works with `models.batch_size`, which
-    picks how many patches reach this operator together.
+    Implemented as im2col + matmul in the promoted dtype of `x` and the
+    kernels. The im2col matrix is gathered in source order,
+    ``[C_in*k*k, items*H*W]``, so the copy moves whole rows of W; the product
+    runs on its transpose. Items of a batch share one product only while the
+    kernel matrix outweighs their im2col block, so a batch never holds more
+    im2col than the larger of the kernels and one item's block. This split
+    works with `models.batch_size`, which picks how many patches reach this
+    operator together.
     """
     x = _check_maps(x, "conv2d_same")
-    batch = (x if x.ndim == 4 else x[None]).astype(np.float64, copy=False)
+    dtype = np.result_type(x, p.kernels)
+    batch = (x if x.ndim == 4 else x[None]).astype(dtype, copy=False)
     b, c, h, w = batch.shape
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernels expect {p.in_channels}")
     k = p.kernels.shape[2]
     pad = k // 2
     step = max(1, p.kmat.nbytes // (c * k * k * h * w * batch.itemsize))
-    out = np.empty((b * h * w, p.out_channels))
+    out = np.empty((b * h * w, p.out_channels), dtype)
     for i in range(0, b, step):
         xp = np.pad(batch[i:i + step], ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         # [m, C, H, W, k, k] -> [C, k, k, m, H, W] -> [C*k*k, m*H*W]
@@ -194,7 +195,7 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
         np.matmul(cols.T, p.kmat.T, out=out[i * h * w:i * h * w + cols.shape[1]])
     out += p.bias
     out = out.reshape(b, h, w, p.out_channels).transpose(0, 3, 1, 2)
-    return _cast_back(out if x.ndim == 4 else out[0], x, p.kernels)
+    return out if x.ndim == 4 else out[0]
 
 
 def _check_out(out: np.ndarray, shape: tuple, dtype, op: str) -> None:
@@ -206,22 +207,21 @@ def batchnorm_infer(x: np.ndarray, p: BatchNormParams, out: np.ndarray | None = 
                     ) -> np.ndarray:
     """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``.
 
-    `out`, numpy-style, receives the result and is returned; it must have the
-    result's shape and dtype and may be `x` itself. The values are those of a
-    call without it.
+    Computed as ``x * scale + shift`` in the promoted dtype of `x` and
+    `gamma`. `out`, numpy-style, receives the result and is returned; it must
+    have the result's shape and dtype and may be `x` itself. The values are
+    those of a call without it.
     """
     x = _check_maps(x, "batchnorm_infer")
     if x.shape[-3] != p.channels:
         raise ShapeError(f"input has {x.shape[-3]} channels, batch norm expects {p.channels}")
-    scale, shift = p.scale[:, None, None], p.shift[:, None, None]
+    dtype = np.result_type(x, p.gamma)
     if out is None:
-        return _cast_back(x.astype(np.float64, copy=False) * scale + shift, x, p.gamma)
-    _check_out(out, x.shape, np.result_type(x, p.gamma), "batchnorm_infer")
-    if out.dtype == np.float64:
-        np.multiply(x, scale, out=out)
-        out += shift
-    else:  # round once, from the float64 result
-        out[...] = x.astype(np.float64) * scale + shift
+        out = np.empty_like(x, dtype=dtype)  # x's memory layout, as `out=x` has
+    else:
+        _check_out(out, x.shape, dtype, "batchnorm_infer")
+    np.multiply(x, p.scale.astype(dtype, copy=False)[:, None, None], out=out)
+    out += p.shift.astype(dtype, copy=False)[:, None, None]
     return out
 
 
@@ -246,9 +246,7 @@ def maxpool_2x2(x: np.ndarray) -> np.ndarray:
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Spatial mean per channel: ``[(B,) C, H, W] -> [(B,) C]``."""
-    x = _check_maps(x, "global_avg_pool")
-    out = x.mean(axis=(-2, -1), dtype=np.float64)
-    return _cast_back(out, x)
+    return _check_maps(x, "global_avg_pool").mean(axis=(-2, -1))
 
 
 def dense(x: np.ndarray, p: DenseParams) -> np.ndarray:
@@ -258,9 +256,10 @@ def dense(x: np.ndarray, p: DenseParams) -> np.ndarray:
         raise ShapeError(f"dense expects a [K] or [B, K] input, got shape {x.shape}")
     if x.shape[-1] != p.in_units:
         raise ShapeError(f"input length {x.shape[-1]} does not match {p.in_units} units")
-    x64 = x.astype(np.float64, copy=False)
-    out = (p.weights @ x64 if x.ndim == 1 else x64 @ p.weights.T) + p.bias
-    return _cast_back(out, x, p.weights)
+    dtype = np.result_type(x, p.weights)
+    x = x.astype(dtype, copy=False)
+    out = (p.weights @ x if x.ndim == 1 else x @ p.weights.T) + p.bias
+    return out.astype(dtype, copy=False)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

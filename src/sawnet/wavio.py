@@ -22,6 +22,7 @@ from .frontend import AudioClip
 
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
+_RUN_FRAMES = 16384  # stereo frames decoded per step: 128 KiB of float32
 
 
 class _Layout(NamedTuple):
@@ -91,14 +92,27 @@ def _parse_header(read: Callable[[int, int], bytes], size: int) -> _Layout:
 
 
 def _decode(payload, layout: _Layout) -> np.ndarray:
-    """Mono float32 samples of whole frames: scaled in place, then the channels averaged."""
-    samples = np.frombuffer(payload, dtype=layout.dtype).astype(np.float32)
-    if layout.scale != 1.0:
-        samples *= np.float32(layout.scale)
-    if layout.channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise DecodeError("payload contains non-finite samples")
+    """Mono float32 samples of whole frames: scaled, then the channels averaged.
+
+    Mono data is scaled straight into the output. Stereo goes `_RUN_FRAMES`
+    frames at a time into the preallocated mono output, so besides it only
+    one run's interleaved float32 frames are held.
+    """
+    frames = np.frombuffer(payload, dtype=layout.dtype).reshape(-1, layout.channels)
+    scale = np.float32(layout.scale)  # x * 1.0 is exact: float32 data keeps its bits
+    samples = np.empty(len(frames), np.float32)
+    step = _RUN_FRAMES if layout.channels == 2 else max(1, len(frames))
+    for lo in range(0, len(frames), step):
+        mono = samples[lo:lo + step]
+        run = frames[lo:lo + len(mono)]
+        if layout.channels == 2:  # the float32 mean of the scaled pair, written out
+            run = run * scale
+            np.add(run[:, 0], run[:, 1], out=mono)
+            mono /= 2
+        else:
+            np.multiply(run[:, 0], scale, out=mono)
+        if not np.all(np.isfinite(mono)):
+            raise DecodeError("payload contains non-finite samples")
     return samples
 
 

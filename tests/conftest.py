@@ -72,6 +72,13 @@ def random_bn_stats(bundle: models.WeightBundle, seed: int = 0) -> models.Weight
     return bundle
 
 
+def float64_copy(bundle: models.WeightBundle) -> models.WeightBundle:
+    """The same bundle with float64 tensors: the float64 reference path."""
+    return models.WeightBundle(
+        spec=bundle.spec, params={k: np.asarray(v, np.float64) for k, v in bundle.params.items()},
+        preproc_tag=bundle.preproc_tag, epsilon=bundle.epsilon)
+
+
 def random_patch(seed: int = 0) -> frontend.LogMelPatch:
     rng = np.random.default_rng(seed)
     return frontend.LogMelPatch(values=rng.normal(0, 1, (96, 64)))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_bn_stats, random_patch
+from conftest import float64_copy, random_bn_stats, random_patch
 from sawnet import bundle, frontend, models, nn
 from sawnet.errors import FormatError, ValidationError
 from sawnet.frontend import PREPROC_TAG, LogMelSpectrogram
@@ -228,7 +228,8 @@ def _cast_per_call_forward(spec, tensors, epsilon, x, stop_after=None):
 
 
 class TestPreparedWeights:
-    """A loaded bundle holds its weights once, as read-only float64 arrays."""
+    """A loaded bundle holds its weights once, as read-only float32 arrays;
+    a float64 bundle of the same tensors is the reference forward."""
 
     # operator attribute -> parameter tensor suffix it must view
     VIEWS = {
@@ -250,7 +251,7 @@ class TestPreparedWeights:
         for name, op in loaded._objs.items():
             for attr, suffix in self.VIEWS[type(op)].items():
                 held, param = getattr(op, attr), loaded.params[f"{name}/{suffix}"]
-                assert held.dtype == param.dtype == np.float64
+                assert held.dtype == param.dtype == np.float32
                 assert np.shares_memory(held, param), f"{name}.{attr} is a copy"
                 for arr in (held, param):
                     with pytest.raises(ValueError):
@@ -259,7 +260,7 @@ class TestPreparedWeights:
         assert viewed == set(loaded.params)
 
     def test_forwards_match_cast_per_call_reference(self, saved):
-        loaded = bundle.load_bundle(saved)
+        loaded = float64_copy(bundle.load_bundle(saved))
         _, stored = bundle.read_container(saved)
         spec = loaded.spec
         for seed in (1, 2):
@@ -298,6 +299,19 @@ class TestLoadMemory:
         # float64 weights (2x) plus the largest float32 tensor still to be cast;
         # a whole float32 copy of the file alive until the last cast made it 3x
         assert peak < 2.6 * saved.stat().st_size
+
+    def test_load_peaks_near_one_file_size(self, saved):
+        # the read tensors are the weights: no cast at load (float64 weights
+        # took the peak to 2.5x)
+        bundle.load_bundle(saved)
+        tracemalloc.start()
+        try:
+            loaded = bundle.load_bundle(saved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * saved.stat().st_size
+        assert loaded.dtype == np.float32
 
 
 class TestFuzzedInput:

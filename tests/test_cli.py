@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_bn_stats, run_cli, sine_clip
 from sawnet import models, transfer
-from sawnet.bundle import load_bundle, save_bundle, save_spectrogram
+from sawnet.bundle import load_bundle, read_container, save_bundle, save_spectrogram
 from sawnet.evaluation import score_spectrogram
 from sawnet.frontend import log_mel_spectrogram, patch_at_frame, resample_to_16k
 from sawnet.wavio import decode_wav, encode_wav
@@ -121,6 +121,15 @@ class TestInfo:
         save_bundle(models.init_bundle(models.build_fcn_vggish(50), init="zeros"), path)
         result = run_cli("info", "--model", path)
         assert "trainable_params: 18716338" in result.stdout
+
+    def test_compute_dtype_and_weight_bytes(self, tmp_path):
+        # a loaded bundle holds its weights as the file stores them
+        path = tmp_path / "fcn3.csnw"
+        save_bundle(models.init_bundle(models.build_fcn_vggish(3), init="zeros"), path)
+        header, _ = read_container(path)
+        lines = run_cli("info", "--model", path).stdout.splitlines()
+        assert "compute_dtype: float32" in lines
+        assert f"weight_bytes: {header['payload_bytes']}" in lines
 
     def test_layer_lines(self, tmp_path, model_dir):
         lines = run_cli("info", "--model", model_dir / "rand4.csnw").stdout.splitlines()
@@ -268,6 +277,8 @@ class TestManifestCounts:
                 texts.append(manifests[command].read_text())
             manifest = json.loads(texts[0])
             assert (manifest["files_ok"], manifest["files_failed"]) == (2, 2), command
+            assert manifest.get("compute_dtype") == (None if command == "featurize"
+                                                     else "float32"), command
             stable = [re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": "X"', t)
                       for t in texts]
             assert stable[0] == stable[1] and texts[0].count("timestamp_utc") == 1

@@ -355,6 +355,24 @@ class TestBlockwiseScoring:
             path.unlink()
         assert peaks[1] <= 1.1 * peaks[0] + 2**20
 
+    @pytest.mark.parametrize("arch", ["aug", "fcn"])
+    @pytest.mark.parametrize("rate, channels", [(44100, 2), (16000, 1)])
+    def test_wav_and_container_scores_identical(self, tmp_path, arch, aug_bundle_small,
+                                                fcn_bundle_small, rate, channels):
+        # a float32 network rounds each float64 patch to float32 on entry,
+        # the rounding a feature container stores
+        net = aug_bundle_small if arch == "aug" else fcn_bundle_small
+        path = write_long_wav(tmp_path / "x.wav", 5.3, sample_rate=rate, channels=channels,
+                              seed=rate)
+        with WavReader(path, "x") as wav:
+            from_wav = score_stream(net, wav, positive_class=1)
+        features = tmp_path / "x.csnw"
+        bundle.save_spectrogram(features, frontend.log_mel_spectrogram(
+            frontend.resample_to_16k(decode_wav(path.read_bytes(), "x"))))
+        from_container = evaluation.score_spectrogram(
+            net, bundle.load_spectrogram(features), 1, clip_id="x")
+        assert len(from_wav) == 5 and from_wav == from_container
+
     def test_too_short_before_any_read(self, zero_bundle):
         class Unreadable:
             sample_rate, source_id, num_samples = 44100, "short", 44080

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bn_stats, random_patch
+from conftest import float64_copy, random_bn_stats, random_patch
 from sawnet import models, nn
 from sawnet.errors import ConfigError, StructureError, ValidationError
 from sawnet.frontend import LogMelPatch
@@ -203,6 +203,19 @@ def aug_folded_small(aug_bundle_small):
     return models.fold_batchnorm(aug_bundle_small)
 
 
+@pytest.fixture(scope="module")
+def as_float64(request):
+    """The float64 copy of a named bundle fixture; the last one made is kept."""
+    copies = {}
+
+    def get(name):
+        if name not in copies:
+            copies.clear()
+            copies[name] = float64_copy(request.getfixturevalue(name))
+        return copies[name]
+    return get
+
+
 class TestForwardBatch:
     """One forward path for one patch or many: `forward_batch` against single patches."""
 
@@ -210,8 +223,8 @@ class TestForwardBatch:
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6))
-    def test_matches_single_patch_forwards(self, request, name, seeds):
-        bundle = request.getfixturevalue(name)
+    def test_matches_single_patch_forwards(self, as_float64, name, seeds):
+        bundle = as_float64(name)
         patches = [random_patch(s) for s in seeds]
         emb = bundle.spec.embedding_layer
         logits = models.forward_batch(bundle, patches)
@@ -255,23 +268,40 @@ class TestForwardBatch:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
-    def test_in_place_bn_relu_peak(self, fcn_bundle_small):
-        # a copy of bn1's 12.6 MB input map, plus one more for its ReLU, took
-        # the peak to 36 MB; the largest conv's im2col now sets it
+    @staticmethod
+    def _four_patch_peak(bundle):
         patches = [random_patch(s) for s in range(4)]
-        assert models.batch_size(fcn_bundle_small) == 4
-        models.forward_batch(fcn_bundle_small, patches[:1])  # first-call allocations
+        assert models.batch_size(bundle) == 4
+        models.forward_batch(bundle, patches[:1])  # first-call allocations
         tracemalloc.start()
         try:
-            models.forward_batch(fcn_bundle_small, patches)
-            peak = tracemalloc.get_traced_memory()[1]
+            models.forward_batch(bundle, patches)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20e6
+
+    def test_in_place_bn_relu_peak(self, as_float64):
+        # a copy of bn1's 12.6 MB input map, plus one more for its ReLU, took
+        # the peak to 36 MB; the largest conv's im2col now sets it
+        assert self._four_patch_peak(as_float64("fcn_bundle_small")) <= 20e6
+
+    def test_in_place_bn_relu_peak_float32(self, fcn_bundle_small):
+        # half the float64 path's maps and im2col
+        assert fcn_bundle_small.dtype == np.float32
+        assert self._four_patch_peak(fcn_bundle_small) <= 10e6
 
     @pytest.mark.parametrize("name", ["aug_bundle_small", "aug_folded_small", "fcn_bundle_small"])
-    def test_in_place_bn_relu_bit_identical(self, request, monkeypatch, name):
+    def test_in_place_bn_relu_bit_identical(self, as_float64, monkeypatch, name):
+        self._check_in_place_bit_identical(as_float64(name), monkeypatch)
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "aug_folded_small", "fcn_bundle_small"])
+    def test_in_place_bn_relu_bit_identical_float32(self, request, monkeypatch, name):
         bundle = request.getfixturevalue(name)
+        assert bundle.dtype == np.float32
+        self._check_in_place_bit_identical(bundle, monkeypatch)
+
+    @staticmethod
+    def _check_in_place_bit_identical(bundle, monkeypatch):
         patches = [random_patch(s) for s in range(4)]
         emb = bundle.spec.embedding_layer
         in_place = [models.forward_batch(bundle, patches, stop_after=s) for s in (None, emb)]
@@ -302,6 +332,83 @@ class TestForwardBatch:
         for shape in ((96, 64), (1, 1, 1, 96, 64)):
             with pytest.raises(ValidationError):
                 models.run_layers(aug_bundle_small, np.zeros(shape))
+
+
+class TestFloat32Forward:
+    """A float32 bundle (what every container loads as) against its float64 copy."""
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "aug_folded_small",
+                                      "fcn_bundle_small", "fcn_folded_small"])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6))
+    def test_within_1e4_of_float64(self, request, as_float64, name, seeds):
+        b32, b64 = request.getfixturevalue(name), as_float64(name)
+        assert (b32.dtype, b64.dtype) == (np.float32, np.float64)
+        patches = [random_patch(s) for s in seeds]
+        emb = b32.spec.embedding_layer
+        outputs = [
+            lambda b: models.forward_batch(b, patches),
+            lambda b: models.forward_batch(b, patches, stop_after=emb),
+            lambda b: models.forward_embedding(b, patches).values,
+            lambda b: models.run_layers(b, patches[0].values[None]),
+            lambda b: models.run_layers(b, patches[0].values[None], emb),
+        ]
+        results = [(output(b32), output(b64)) for output in outputs]
+        for got, want in results:
+            assert (got.dtype, want.dtype) == (np.float32, np.float64)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+        got, want = results[0]  # logits
+        top_two = np.sort(want, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-4
+        assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
+
+    @pytest.mark.parametrize("name, expected", [("aug_bundle_small", 1), ("aug_folded_small", 1),
+                                                ("fcn_bundle_small", 4), ("fcn_folded_small", 4)])
+    def test_batch_size_same_in_both_dtypes(self, request, as_float64, name, expected):
+        assert models.batch_size(request.getfixturevalue(name)) == expected
+        assert models.batch_size(as_float64(name)) == expected
+
+    def test_input_rounded_once_at_entry(self, aug_bundle_small):
+        # a float64 patch and its float32 rounding (what a feature container
+        # stores) give the same float32 forward
+        x = random_patch(7).values[None]
+        np.testing.assert_array_equal(models.run_layers(aug_bundle_small, x),
+                                      models.run_layers(aug_bundle_small, x.astype(np.float32)))
+
+    def test_float64_bundle_leaves_its_input_untouched(self, as_float64):
+        bundle = as_float64("aug_bundle_small")
+        x = np.stack([random_patch(s).values for s in range(2)])[:, None]
+        before = x.copy()
+        for stop in ("conv1", "bn1", None):
+            models.run_layers(bundle, x, stop)
+            np.testing.assert_array_equal(x, before)
+
+
+class TestBundleDtype:
+    def test_float32_tensors_kept(self):
+        bundle = models.init_bundle(models.build_aug_vggish(2), init="random", seed=3)
+        kernels = np.zeros((64, 1, 3, 3), np.float32)
+        bundle.params["conv1/kernels"] = kernels
+        bundle.validate()
+        assert bundle.dtype == np.float32
+        assert bundle.params["conv1/kernels"] is kernels and not kernels.flags.writeable
+        assert all(a.dtype == np.float32 for a in bundle.params.values())
+
+    def test_any_float64_tensor_makes_a_float64_bundle(self):
+        bundle = models.init_bundle(models.build_aug_vggish(2), init="random", seed=3)
+        bundle.params["head/bias"] = np.zeros(2)
+        bundle.validate()
+        assert bundle.dtype == np.float64
+        assert all(a.dtype == np.float64 for a in bundle.params.values())
+
+    def test_other_dtypes_become_float32(self):
+        bundle = models.init_bundle(models.build_aug_vggish(2), init="zeros")
+        bundle.params["head/bias"] = np.array([1, -1])
+        bundle.params["fc1/bias"] = np.zeros(256, np.float16)
+        bundle.validate()
+        assert bundle.dtype == np.float32
+        assert bundle.params["head/bias"].dtype == bundle.params["fc1/bias"].dtype == np.float32
 
 
 class TestNonFiniteWeights:

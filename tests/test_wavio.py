@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawnet.errors import ConfigError, DecodeError, UnsupportedFormat
-from sawnet.wavio import WavReader, decode_wav, encode_wav
+from sawnet.wavio import _RUN_FRAMES, WavReader, decode_wav, encode_wav
 
 
 def make_wav(audio_format=1, channels=1, sample_rate=16000, bits=16,
@@ -203,6 +203,40 @@ class TestDecodeInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 3.3 * (len(data) - 44)
+
+    @given(fmt=st.sampled_from(sorted(_FORMATS)), channels=st.sampled_from([1, 2]),
+           frames=st.integers(_RUN_FRAMES - 2, 3 * _RUN_FRAMES + 2), seed=st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_runs_of_frames_equal_old_formula(self, fmt, channels, frames, seed):
+        # the data chunk spans several decoding runs, the last one partial
+        raw = np.random.default_rng(seed).uniform(-1.2, 1.2, (frames, channels))
+        data = encode_wav(raw if channels == 2 else raw[:, 0], 22050, fmt=fmt,
+                          channels=channels)
+        dtype, scale = _FORMATS[fmt]
+        np.testing.assert_array_equal(decode_wav(data).samples,
+                                      _old_decode(data[44:], dtype, scale, channels))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_sample_in_a_later_run(self, channels):
+        raw = np.zeros((2 * _RUN_FRAMES + 10, channels))
+        raw[-3, -1] = np.inf
+        data = encode_wav(raw if channels == 2 else raw[:, 0], 16000, fmt="float32",
+                          channels=channels)
+        with pytest.raises(DecodeError, match="non-finite"):
+            decode_wav(data)
+
+    def test_stereo_pcm16_peak_below_1_3x_data_chunk(self):
+        # the interleaved float32 frames (2x the chunk) were held whole before
+        # the mixdown: 3.03x; runs of frames leave the mono output (1x)
+        raw = np.random.default_rng(5).uniform(-0.5, 0.5, (44100 * 5, 2))
+        data = encode_wav(raw, 44100, channels=2)
+        tracemalloc.start()
+        try:
+            decode_wav(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * (len(data) - 44)
 
 
 @pytest.fixture()
