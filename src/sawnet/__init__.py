@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .frontend import (
     AudioClip,
-    LogMelPatch,
     LogMelSpectrogram,
     PREPROC_TAG,
     build_mel_filterbank,
@@ -45,7 +44,6 @@ from .frontend import (
     resample_to_16k,
 )
 from .models import (
-    Embedding,
     ModelSpec,
     WeightBundle,
     build_aug_vggish,
@@ -54,7 +52,6 @@ from .models import (
     fold_batchnorm,
     forward_batch,
     forward_embedding,
-    forward_probs,
     init_bundle,
 )
 from .transfer import (

@@ -29,9 +29,11 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .frontend import (
+    FRAME_HOP,
     FRAME_LEN,
     NUM_MEL_BANDS,
     PREPROC_TAG,
+    SAMPLE_RATE,
     LogMelSpectrogram,
     frame_count,
 )
@@ -45,6 +47,9 @@ from .models import (
 
 MAGIC = b"CSNW"
 VERSION = 1
+# the frame timing a spectrogram container records: this build's only convention
+_FRAME_TIMING = {"frame_hop_s": FRAME_HOP / SAMPLE_RATE,
+                 "frame_len_s": FRAME_LEN / SAMPLE_RATE}
 
 
 def write_container(path, header: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -187,12 +192,11 @@ def _positive_number(header: dict, key: str, default: float) -> float:
     return float(value)
 
 
-def load_bundle(path, check_preproc: bool = True) -> WeightBundle:
+def load_bundle(path) -> WeightBundle:
     """Load and validate a weight bundle from a CSNW file.
 
-    With `check_preproc` (the default), a bundle whose preproc_tag does not
-    match this build's frontend convention is rejected rather than silently
-    producing mismatched features.
+    A bundle whose preproc_tag does not match this build's frontend
+    convention is rejected rather than silently producing mismatched features.
     """
     header, tensors = read_container(path)
     arch_id = header.get("arch_id")
@@ -200,7 +204,7 @@ def load_bundle(path, check_preproc: bool = True) -> WeightBundle:
     if not isinstance(arch_id, str) or not isinstance(num_classes, int):
         raise ValidationError("weight container must declare arch_id and num_classes")
     preproc_tag = header.get("preproc_tag", PREPROC_TAG)
-    if check_preproc and preproc_tag != PREPROC_TAG:
+    if preproc_tag != PREPROC_TAG:
         raise ValidationError(
             f"bundle expects frontend {preproc_tag!r}, this build provides {PREPROC_TAG!r}"
         )
@@ -218,8 +222,7 @@ def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
     header = {
         "kind": "logmel",
         "preproc_tag": PREPROC_TAG,
-        "frame_hop_s": spec.frame_hop_s,
-        "frame_len_s": spec.frame_len_s,
+        **_FRAME_TIMING,
         "source_id": spec.source_id,
     }
     if spec.num_samples is not None:
@@ -228,7 +231,8 @@ def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
 
 
 def load_spectrogram(path) -> LogMelSpectrogram:
-    """Load a spectrogram container, checking its preproc_tag like `load_bundle`."""
+    """Load a spectrogram container, checking its preproc_tag like `load_bundle`
+    and any frame timing it records against the convention."""
     header, tensors = read_container(path)
     preproc_tag = header.get("preproc_tag", PREPROC_TAG)
     if preproc_tag != PREPROC_TAG:
@@ -236,6 +240,9 @@ def load_spectrogram(path) -> LogMelSpectrogram:
             f"features were computed with frontend {preproc_tag!r}, "
             f"this build provides {PREPROC_TAG!r}"
         )
+    for key, value in _FRAME_TIMING.items():
+        if header.get(key, value) != value:
+            raise ValidationError(f"invalid {key} {header[key]!r}, expected {value}")
     if "logmel" not in tensors:
         raise ValidationError("container has no 'logmel' tensor")
     frames = tensors["logmel"]
@@ -250,8 +257,6 @@ def load_spectrogram(path) -> LogMelSpectrogram:
             f"num_samples {num_samples!r} does not match {frames.shape[0]} frames")
     return LogMelSpectrogram(
         frames=frames.astype(np.float64),
-        frame_hop_s=_positive_number(header, "frame_hop_s", 0.010),
-        frame_len_s=_positive_number(header, "frame_len_s", 0.025),
         source_id=str(header.get("source_id", "")),
         num_samples=num_samples,
     )

@@ -29,7 +29,7 @@ from . import __version__
 from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_container
 from .errors import SawnetError
 from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
-from .frontend import PATCH_FRAMES, extract_patches, log_mel_spectrogram, resample_to_16k
+from .frontend import extract_patches, log_mel_spectrogram, resample_to_16k
 from .models import WeightBundle, count_params, describe_layer, forward_batch
 from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
@@ -198,8 +198,7 @@ def cmd_infer(args) -> int:
     for path in inputs:
         try:
             spec = _load_spectrogram_any(path)
-            patches = extract_patches(spec, PATCH_FRAMES, pad=True)
-            probs = np.mean(softmax(forward_batch(bundle, patches)), axis=0)
+            probs = np.mean(softmax(forward_batch(bundle, extract_patches(spec))), axis=0)
         except (SawnetError, OSError) as e:
             _report_failure("infer", path, e)
             failures += 1

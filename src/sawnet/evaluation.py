@@ -27,8 +27,8 @@ from .frontend import (
     AudioClip,
     AudioSource,
     LogMelSpectrogram,
+    extract_patches,
     log_mel_spectrogram,
-    patch_at_frame,
     resample_to_16k,
     resampled_length,
 )
@@ -78,7 +78,7 @@ def _score_seconds(bundle: WeightBundle, spec: LogMelSpectrogram, count: int,
                    positive_class: int, clip_id: str, first: int = 0) -> list[SecondScore]:
     """Scores of seconds ``first, ..., first + count - 1``, whose patches start at
     frames 0, 100, ... of `spec`, from one `forward_batch`."""
-    patches = [patch_at_frame(spec, s * FRAMES_PER_SECOND) for s in range(count)]
+    patches = extract_patches(spec, FRAMES_PER_SECOND, count)
     probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
     return [SecondScore(clip_id=clip_id, second_index=first + s, probability=p)
             for s, p in enumerate(probabilities)]

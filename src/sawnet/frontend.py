@@ -7,7 +7,8 @@ interchangeable with the weight bundles trained against it:
   512-point real FFT, magnitude squared, 64 triangular mel filters spanning
   125-7500 Hz (HTK mel scale, peak height 1.0), then ln(mel energy + 0.01).
 
-Patches are 96 consecutive frames (0.96 s), the unit the networks consume.
+Patches are 96 consecutive frames (0.96 s), the unit the networks consume;
+`extract_patches` cuts a spectrogram into one ``[N, 96, 64]`` array of them.
 The convention is summarized in PREPROC_TAG, which weight bundles carry so a
 mismatched frontend is caught at load time instead of silently degrading
 accuracy.
@@ -95,8 +96,6 @@ class LogMelSpectrogram:
     """
 
     frames: np.ndarray
-    frame_hop_s: float = FRAME_HOP / SAMPLE_RATE
-    frame_len_s: float = FRAME_LEN / SAMPLE_RATE
     source_id: str = ""
     num_samples: int | None = None
 
@@ -115,21 +114,6 @@ class LogMelSpectrogram:
         if self.num_samples is None:
             return (self.num_frames + 2) // (SAMPLE_RATE // FRAME_HOP)
         return self.num_samples // SAMPLE_RATE
-
-
-@dataclass
-class LogMelPatch:
-    """A 96x64 slice of a spectrogram plus its start time in the clip."""
-
-    values: np.ndarray
-    origin_s: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.shape != (PATCH_FRAMES, NUM_MEL_BANDS):
-            raise ConfigError(
-                f"patch must be {PATCH_FRAMES}x{NUM_MEL_BANDS}, got {self.values.shape}"
-            )
 
 
 def hz_to_mel(f):
@@ -280,32 +264,26 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
                              num_samples=len(x))
 
 
-def _window(spec: LogMelSpectrogram, start: int) -> LogMelPatch:
-    """The 96 frames from `start`, the tail edge-padded past the last frame."""
-    window = spec.frames[start : start + PATCH_FRAMES]
-    if window.shape[0] < PATCH_FRAMES:
-        window = np.pad(window, ((0, PATCH_FRAMES - window.shape[0]), (0, 0)), mode="edge")
-    return LogMelPatch(values=window, origin_s=start * spec.frame_hop_s)
+def extract_patches(spec: LogMelSpectrogram, hop: int = PATCH_FRAMES,
+                    count: int | None = None) -> np.ndarray:
+    """The ``[count, 96, 64]`` patches of a spectrogram: patch k is frames
+    ``[k * hop, k * hop + 96)``, the last frame repeated past the end.
 
-
-def extract_patches(
-    spec: LogMelSpectrogram, hop_frames: int, pad: bool = False
-) -> list[LogMelPatch]:
-    """Slice consecutive 96-frame windows at the given hop.
-
-    When `pad` is set and the spectrogram is shorter than one patch, the tail
-    is edge-replicated up to 96 frames and a single patch is returned.
+    By default `count` is every patch that fits, and at least one. The result
+    is a read-only strided view of `spec.frames`; it is a copy only when the
+    last patch runs past the last frame. Clips are cut at the default hop of
+    one patch, detection at one patch per second (hop 100).
     """
-    if hop_frames < 1:
-        raise ConfigError(f"hop_frames must be >= 1, got {hop_frames}")
+    if hop < 1:
+        raise ConfigError(f"hop must be >= 1, got {hop}")
     total = spec.num_frames
-    if total < PATCH_FRAMES and not pad:
-        raise TooShort(f"{total} frames < {PATCH_FRAMES}; enable padding or use longer audio")
-    return [_window(spec, s) for s in range(0, max(total - PATCH_FRAMES, 0) + 1, hop_frames)]
-
-
-def patch_at_frame(spec: LogMelSpectrogram, start_frame: int) -> LogMelPatch:
-    """One 96-frame patch starting at `start_frame`, edge-padded at the tail."""
-    if start_frame < 0 or start_frame >= spec.num_frames:
-        raise ConfigError(f"start_frame {start_frame} outside [0, {spec.num_frames})")
-    return _window(spec, start_frame)
+    if count is None:
+        count = max(total - PATCH_FRAMES, 0) // hop + 1
+    if count < 1 or (count - 1) * hop >= total:
+        raise ConfigError(f"{count} patches at hop {hop} do not start within {total} frames")
+    need = (count - 1) * hop + PATCH_FRAMES
+    frames = spec.frames[:need]
+    if need > total:
+        frames = np.pad(frames, ((0, need - total), (0, 0)), mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(frames, PATCH_FRAMES, axis=0)
+    return windows[::hop].transpose(0, 2, 1)

@@ -13,8 +13,8 @@ single input channel:
                total), a 1x1 convolutional classifier, and global average
                pooling. No dense layers. 18,716,338 parameters at 50 classes.
 
-Patches (`LogMelPatch`) are fixed at 96x64, but global pooling lets
-`run_layers` take any [1, H, W] input whose pools each see at least 2x2:
+Patches (`frontend.extract_patches`) are fixed at 96x64, but global pooling
+lets `run_layers` take any [1, H, W] input whose pools each see at least 2x2:
 H, W >= 16 for aug_vggish (four pools) and H, W >= 32 for fcn_vggish (five);
 a 31-row input to fcn_vggish raises `ShapeError` at pool5.
 
@@ -22,24 +22,26 @@ The embedding (penultimate representation) is the 256-unit FC output for
 aug_vggish and the globally pooled 1024-channel feature map for fcn_vggish.
 
 Every forward goes through `run_layers`, which takes one ``[C, H, W]`` patch
-or a ``[B, C, H, W]`` batch. `forward_batch` runs a list of patches through it
-in chunks of `batch_size` patches. A chunk shares one pass over every weight
-among its patches but holds all of their activations at once, so batching
-pays only where the weights outweigh one patch's activations: fcn_vggish's
-1024-channel kernels on a 3x2 map run 4 patches per call, aug_vggish runs 1.
+or a ``[B, C, H, W]`` batch. `forward_batch` runs an ``[N, H, W]`` array of
+patches through it in chunks of `batch_size` patches, and `forward_embedding`
+does the same up to the embedding; one patch `p` is ``p[None]``. A chunk
+shares one pass over every weight among its patches but holds all of their
+activations at once, so batching pays only where the weights outweigh one
+patch's activations: fcn_vggish's 1024-channel kernels on a 3x2 map run 4
+patches per call, aug_vggish runs 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import nn
 from .errors import ConfigError, StructureError, ValidationError
-from .frontend import NUM_MEL_BANDS, PATCH_FRAMES, PREPROC_TAG, LogMelPatch
+from .frontend import NUM_MEL_BANDS, PATCH_FRAMES, PREPROC_TAG
 
 ARCH_AUG_VGGISH = "aug_vggish"
 ARCH_FCN_VGGISH = "fcn_vggish"
@@ -68,20 +70,19 @@ class LayerDef:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered layer list plus the metadata needed to run and persist it."""
+    """Ordered layer list plus the metadata needed to run and persist it.
+
+    `arch_id` must be a known architecture, but for a custom layer list it is
+    only a label: any list whose shapes chain from a ``[1, 96, 64]`` patch to
+    `num_classes` runs under it. Only the canonical layouts of `arch_id`,
+    folded or not, can be saved (`bundle.save_bundle`).
+    """
 
     arch_id: str
     num_classes: int
     layers: tuple[LayerDef, ...]
     embedding_layer: str
     embedding_dim: int
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Penultimate representation: ``[D]`` for one patch, ``[B, D]`` for B patches."""
-
-    values: np.ndarray
 
 
 def _conv(name: str, in_ch: int, out_ch: int, kernel: int = 3, relu: bool = False) -> LayerDef:
@@ -401,46 +402,37 @@ def batch_size(bundle: WeightBundle) -> int:
     return max(1, bundle.nbytes // (_WEIGHTS_PER_ACTIVATION * activation_bytes))
 
 
-def forward_batch(bundle: WeightBundle, patches: Sequence[LogMelPatch],
+def forward_batch(bundle: WeightBundle, patches: np.ndarray,
                   stop_after: str | None = None) -> np.ndarray:
-    """`run_layers` over many patches: one output per patch, stacked on axis 0.
+    """`run_layers` over an ``[N, H, W]`` array of patches: one output per patch,
+    stacked on axis 0. A single patch `p` is ``p[None]``.
 
-    Patches run in chunks of `batch_size`, so only one chunk's activations
-    are alive at a time. Row i is what patch i gives alone, up to the
-    last-bit rounding of a batched matrix product.
+    Patches run in chunks of `batch_size`, each sliced straight out of
+    `patches`, so only one chunk's activations are alive at a time. Row i is
+    what patch i gives alone, up to the last-bit rounding of a batched matrix
+    product.
     """
-    if not patches:
-        raise ValidationError("forward_batch needs at least one patch")
+    patches = np.asarray(patches)
+    if patches.ndim != 3 or not len(patches):
+        raise ValidationError("forward_batch needs an [N >= 1, H, W] array of patches, "
+                              f"got shape {patches.shape}")
     n = batch_size(bundle)
-    outs = [run_layers(bundle, np.stack([p.values for p in patches[i:i + n]])[:, None],
-                       stop_after)
+    outs = [run_layers(bundle, patches[i:i + n, None], stop_after)
             for i in range(0, len(patches), n)]
     return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
 
-def forward_logits(bundle: WeightBundle, patch: LogMelPatch) -> np.ndarray:
-    return run_layers(bundle, patch.values[None, :, :])
-
-
-def forward_probs(bundle: WeightBundle, patch: LogMelPatch) -> np.ndarray:
-    """Class probabilities for one patch (softmax over the final logits)."""
-    return nn.softmax(forward_logits(bundle, patch))
-
-
-def forward_embedding(bundle: WeightBundle,
-                      patch: LogMelPatch | Sequence[LogMelPatch]) -> Embedding:
-    """Penultimate representation of one patch, or of each patch of a sequence
-    (through `forward_batch`); spatial outputs are globally averaged."""
-    single = isinstance(patch, LogMelPatch)
-    out = forward_batch(bundle, [patch] if single else patch,
-                        stop_after=bundle.spec.embedding_layer)
+def forward_embedding(bundle: WeightBundle, patches: np.ndarray) -> np.ndarray:
+    """``[N, D]`` penultimate representations of ``[N, H, W]`` patches, through
+    `forward_batch`; spatial outputs are globally averaged."""
+    out = forward_batch(bundle, patches, stop_after=bundle.spec.embedding_layer)
     if out.ndim == 4:
         out = nn.global_avg_pool(out)
     if out.shape[1:] != (bundle.spec.embedding_dim,):
         raise ValidationError(
             f"embedding has shape {out.shape[1:]}, expected ({bundle.spec.embedding_dim},)"
         )
-    return Embedding(values=out[0] if single else out)
+    return out
 
 
 def fold_spec(spec: ModelSpec) -> ModelSpec:

@@ -1,4 +1,4 @@
-"""Neural operators for forward inference, plus gradients for the dense head.
+"""Neural operators for forward inference and for the dense head's loss.
 
 Tensors are plain numpy arrays. Feature maps are channels-first: one map is
 ``[C, H, W]`` and a batch of maps is ``[B, C, H, W]``; vectors are ``[K]`` and a
@@ -9,8 +9,8 @@ product. A conv returns channels-first views of channels-last memory (its
 matrix product's row order). Every operator computes in the promoted dtype of
 its input and parameters: float32 maps with float32 parameters run float32
 matrix products and multiplies, and anything with a float64 operand runs in
-float64. The one exception is the dense head's loss path: `softmax`,
-`log_softmax` and `cross_entropy_grad` always work in float64.
+float64. The one exception is the dense head's loss path: `softmax` and
+`log_softmax` always work in float64.
 
 Parameter objects hold read-only views of the arrays they are given, never
 copies, and prepare what every call needs once at construction: a conv keeps
@@ -21,9 +21,9 @@ and shift. They reject non-finite values unless built with
 read-only arrays in the bundle's own dtype, so a network forward casts no
 weight.
 
-Only the dense head has a backward path (`cross_entropy_grad` plus the
-closed-form dense gradient assembled by the training loop); convolution and
-batch norm are inference-only.
+Nothing here has a backward path: `transfer.train_head` forms the dense
+head's gradient itself (softmax minus one-hot, times the inputs), and
+convolution and batch norm are inference-only.
 """
 
 from __future__ import annotations
@@ -286,20 +286,3 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-
-def cross_entropy_grad(logits: np.ndarray, true_class: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy loss and its gradient w.r.t. the logits.
-
-    Returns ``(loss, dlogits)`` with ``loss = -log softmax(logits)[true_class]``
-    and ``dlogits = softmax(logits) - onehot(true_class)``.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError(f"cross_entropy_grad expects 1-D logits, got shape {z.shape}")
-    k = z.shape[0]
-    if not 0 <= true_class < k:
-        raise IndexError(f"true_class {true_class} out of range for {k} classes")
-    loss = -float(log_softmax(z)[true_class])
-    grad = softmax(z)
-    grad[true_class] -= 1.0
-    return loss, grad

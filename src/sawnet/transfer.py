@@ -25,8 +25,6 @@ from .frontend import AudioClip, extract_patches, log_mel_spectrogram, resample_
 from .models import WeightBundle, forward_embedding
 from .nn import DenseParams, dense, log_softmax, softmax
 
-PATCH_HOP_FRAMES = 96  # non-overlapping 0.96 s patches per clip
-
 
 @dataclass(frozen=True)
 class EmbeddingItem:
@@ -117,13 +115,12 @@ def extract_embeddings(
     labels_seen: list[int] = []
     for clip, label, fold in clips:
         try:
-            resampled = resample_to_16k(clip)
-            patches = extract_patches(log_mel_spectrogram(resampled), PATCH_HOP_FRAMES, pad=True)
+            patches = extract_patches(log_mel_spectrogram(resample_to_16k(clip)))
             rows.append(EmbeddingItem(
                 clip_id=clip.source_id,
                 fold=int(fold),
                 label=int(label),
-                vector=forward_embedding(bundle, patches).values.mean(axis=0),
+                vector=forward_embedding(bundle, patches).mean(axis=0),
             ))
             labels_seen.append(int(label))
         except SawnetError as e:  # per-clip failure policy; bugs propagate

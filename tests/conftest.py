@@ -79,9 +79,14 @@ def float64_copy(bundle: models.WeightBundle) -> models.WeightBundle:
         preproc_tag=bundle.preproc_tag, epsilon=bundle.epsilon)
 
 
-def random_patch(seed: int = 0) -> frontend.LogMelPatch:
-    rng = np.random.default_rng(seed)
-    return frontend.LogMelPatch(values=rng.normal(0, 1, (96, 64)))
+def random_patch(seed: int = 0) -> np.ndarray:
+    """A seeded ``[96, 64]`` patch."""
+    return np.random.default_rng(seed).normal(0, 1, (96, 64))
+
+
+def random_patches(seeds) -> np.ndarray:
+    """The ``[N, 96, 64]`` array of `random_patch` for each seed."""
+    return np.stack([random_patch(s) for s in seeds])
 
 
 @pytest.fixture(scope="session")

@@ -125,33 +125,37 @@ def test_c04_nn_oracle_equivalence():
             models.init_bundle(models.build_aug_vggish(50), init="random", seed=401),
             seed=402)
         folded = models.fold_batchnorm(unfolded)
-        for trial in range(100):
-            patch = frontend.LogMelPatch(values=rng.normal(0, 1, (96, 64)))
-            a = models.forward_probs(unfolded, patch)
-            b = models.forward_probs(folded, patch)
-            assert np.abs(a - b).max() < 1e-4
-            assert int(np.argmax(a)) == int(np.argmax(b))
+        patches = rng.normal(0, 1, (100, 96, 64))
+        a = nn.softmax(models.forward_batch(unfolded, patches))
+        b = nn.softmax(models.forward_batch(folded, patches))
+        assert np.abs(a - b).max() < 1e-4
+        assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
 
 
 def test_c05_gradient_check():
     with criterion("C05 gradient-check", 5.0):
+        # the step train_head applies, read back from one full-batch epoch
+        # against its no-op lr=0 probe, is the gradient of head_loss
         rng = np.random.default_rng(500)
-        h = 1e-4
-
-        def loss_at(z, true_class):
-            shifted = z - z.max()
-            return float(np.log(np.exp(shifted).sum()) - shifted[true_class])
-
-        for _ in range(20):
-            logits = rng.normal(0, 3, 50)
-            true_class = int(rng.integers(50))
-            _, grad = nn.cross_entropy_grad(logits, true_class)
-            for i in range(50):
-                up, dn = logits.copy(), logits.copy()
-                up[i] += h
-                dn[i] -= h
-                numeric = (loss_at(up, true_class) - loss_at(dn, true_class)) / (2 * h)
-                assert abs(grad[i] - numeric) / max(abs(numeric), 1e-8) < 1e-4
+        n, d, k, lr, h = 60, 16, 5, 0.5, 1e-5
+        eset = transfer.EmbeddingSet(items=tuple(
+            transfer.EmbeddingItem(clip_id=f"clip-{i:02d}", fold=1, label=int(rng.integers(k)),
+                                   vector=rng.normal(0, 1, d))
+            for i in range(n)), dim=d, num_classes=k)
+        for l2 in (0.0, 1e-3):
+            w0, w1 = (transfer.train_head(eset, transfer.TrainConfig(
+                learning_rate=rate, batch_size=n, epochs=1, seed=501, l2=l2)) for rate in (0, lr))
+            for name in ("weights", "bias"):
+                applied = (getattr(w0, name) - getattr(w1, name)) / lr
+                numeric = np.empty_like(applied)
+                for i in np.ndindex(applied.shape):
+                    losses = []
+                    for step in (h, -h):
+                        bumped = {"weights": w0.weights.copy(), "bias": w0.bias.copy()}
+                        bumped[name][i] += step
+                        losses.append(transfer.head_loss(nn.DenseParams(**bumped), eset, l2))
+                    numeric[i] = (losses[0] - losses[1]) / (2 * h)
+                np.testing.assert_allclose(applied, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_c06_transfer_harness():

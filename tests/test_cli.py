@@ -1,6 +1,5 @@
 """Black-box CLI tests: exit codes, output formats, reproducibility."""
 
-import dataclasses
 import json
 import re
 
@@ -9,9 +8,10 @@ import pytest
 
 from conftest import random_bn_stats, run_cli, sine_clip
 from sawnet import models, transfer
-from sawnet.bundle import load_bundle, read_container, save_bundle, save_spectrogram
+from sawnet.bundle import (load_bundle, read_container, save_bundle, save_spectrogram,
+                           write_container)
 from sawnet.evaluation import score_spectrogram
-from sawnet.frontend import log_mel_spectrogram, patch_at_frame, resample_to_16k
+from sawnet.frontend import extract_patches, log_mel_spectrogram, resample_to_16k
 from sawnet.wavio import decode_wav, encode_wav
 
 
@@ -238,7 +238,11 @@ class TestPerFileFailures:
         good, bad = tmp_path / "good.csnw", tmp_path / "bad.csnw"
         spec = log_mel_spectrogram(sine_clip(440.0, 2.0, source_id="tone"))
         save_spectrogram(good, spec)
-        save_spectrogram(bad, dataclasses.replace(spec, frame_hop_s="abc"))
+        save_spectrogram(bad, spec)
+        header, tensors = read_container(bad)
+        header["frame_hop_s"] = "abc"
+        del header["tensors"], header["payload_bytes"]
+        write_container(bad, header, tensors)
         result = run_cli("infer", "--model", model_dir / "rand4.csnw", good, bad)
         assert result.returncode == 2
         assert [json.loads(line)["clip_id"] for line in result.stdout.splitlines()] == ["tone"]
@@ -294,8 +298,7 @@ class TestManifestCounts:
 def _calibrate_last_layer(net: models.WeightBundle, specs) -> None:
     """Rescale the layer that makes the logits so that P(class 1) spreads over
     (0, 1) on the seconds of `specs`, centred on their median."""
-    patches = [patch_at_frame(spec, 100 * s) for spec in specs
-               for s in range(spec.whole_seconds)]
+    patches = np.concatenate([extract_patches(spec, 100, spec.whole_seconds) for spec in specs])
     diff = np.diff(models.forward_batch(net, patches), axis=1)[:, 0]
     layer = next(l.name for l in reversed(net.spec.layers) if l.kind in ("dense", "conv"))
     alpha = 3.0 / diff.std()

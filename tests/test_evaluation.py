@@ -324,7 +324,7 @@ class TestBlockwiseScoring:
         calls = []
 
         def record(net, patches):
-            calls.append(np.stack([p.values for p in patches]))
+            calls.append(np.array(patches))
             return np.zeros((len(patches), 2))
 
         with pytest.MonkeyPatch.context() as mp:

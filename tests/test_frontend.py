@@ -221,16 +221,19 @@ class TestExtractPatches:
         return frontend.LogMelSpectrogram(frames=frames)
 
     def test_exact_fit(self):
-        patches = frontend.extract_patches(self._spec(96), hop_frames=48)
-        assert len(patches) == 1 and patches[0].origin_s == 0.0
+        spec = self._spec(96)
+        patches = frontend.extract_patches(spec, hop=48)
+        assert patches.shape == (1, 96, 64)
+        np.testing.assert_array_equal(patches[0], spec.frames)
 
     def test_remainder_dropped(self):
-        assert len(frontend.extract_patches(self._spec(98), hop_frames=96)) == 1
+        assert frontend.extract_patches(self._spec(98)).shape == (1, 96, 64)
 
     def test_500_frames_five_patches(self):
-        patches = frontend.extract_patches(self._spec(500), hop_frames=96)
-        assert len(patches) == 5
-        assert patches[1].origin_s == pytest.approx(0.96)
+        spec = self._spec(500)
+        patches = frontend.extract_patches(spec)
+        assert patches.shape == (5, 96, 64)
+        np.testing.assert_array_equal(patches[1], spec.frames[96:192])  # 0.96 s in
 
     def test_window_count_formula(self):
         for total in (96, 100, 191, 192, 480):
@@ -239,22 +242,54 @@ class TestExtractPatches:
                 assert got == (total - 96) // hop + 1
 
     def test_short_input_edge_padded(self):
-        patches = frontend.extract_patches(self._spec(50), hop_frames=96, pad=True)
-        assert len(patches) == 1
-        values = patches[0].values
-        assert values.shape == (96, 64)
-        np.testing.assert_array_equal(values[50:], np.tile(values[49], (46, 1)))
-
-    def test_short_input_without_padding(self):
-        with pytest.raises(TooShort):
-            frontend.extract_patches(self._spec(95), hop_frames=96)
+        spec = self._spec(50)
+        patches = frontend.extract_patches(spec)
+        assert patches.shape == (1, 96, 64)
+        np.testing.assert_array_equal(patches[0, :50], spec.frames)
+        np.testing.assert_array_equal(patches[0, 50:], np.tile(patches[0, 49], (46, 1)))
 
     def test_bad_hop(self):
         with pytest.raises(ConfigError):
-            frontend.extract_patches(self._spec(96), hop_frames=0)
+            frontend.extract_patches(self._spec(96), hop=0)
 
     def test_patch_at_frame_tail_padding(self):
-        patch = frontend.patch_at_frame(self._spec(130), 60)
-        assert patch.values.shape == (96, 64)
-        assert patch.origin_s == pytest.approx(0.60)
-        np.testing.assert_array_equal(patch.values[70:], np.tile(patch.values[69], (26, 1)))
+        # the second patch at hop 60 starts 0.6 s in and runs 26 frames past the end
+        spec = self._spec(130)
+        patch = frontend.extract_patches(spec, 60, 2)[1]
+        assert patch.shape == (96, 64)
+        np.testing.assert_array_equal(patch[:70], spec.frames[60:])
+        np.testing.assert_array_equal(patch[70:], np.tile(patch[69], (26, 1)))
+
+    def test_patches_must_start_within_the_frames(self):
+        for hop, count in ((100, 0), (100, 3), (10, 14)):
+            with pytest.raises(ConfigError):
+                frontend.extract_patches(self._spec(130), hop, count)
+        with pytest.raises(ConfigError):
+            frontend.extract_patches(frontend.LogMelSpectrogram(frames=np.zeros((0, 64))))
+
+    def test_view_of_the_frames_unless_padded(self):
+        spec = self._spec(450)
+        # clip rule (every patch that fits at hop 96) and detection rule (a
+        # patch per second, for 4 seconds): no padding, so no copy
+        for hop, count in ((96, None), (100, 4)):
+            patches = frontend.extract_patches(spec, hop, count)
+            assert np.shares_memory(patches, spec.frames)
+            assert not patches.flags.writeable
+        # a fifth second's patch runs past frame 450
+        assert not np.shares_memory(frontend.extract_patches(spec, 100, 5), spec.frames)
+
+    @given(total=st.integers(1, 3000), hop=st.sampled_from([1, 24, 96, 100, 160]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_window_per_patch(self, total, hop, data):
+        spec = frontend.LogMelSpectrogram(
+            frames=np.random.default_rng(total).normal(0, 1, (total, 64)))
+        count = data.draw(st.none() | st.integers(1, (total - 1) // hop + 1))
+        n = max(total - 96, 0) // hop + 1 if count is None else count
+        patches = frontend.extract_patches(spec, hop, count)
+        assert patches.shape == (n, 96, 64)
+        for k in range(n):
+            window = spec.frames[k * hop:k * hop + 96]
+            tail = np.repeat(window[-1:], 96 - len(window), axis=0)
+            assert np.array_equal(patches[k], np.concatenate([window, tail]))
+        assert np.shares_memory(patches, spec.frames) == ((n - 1) * hop + 96 <= total)

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import float64_copy, random_bn_stats, random_patch
-from sawnet import models, nn
+from conftest import float64_copy, random_bn_stats, random_patch, random_patches
+from sawnet import frontend, models, nn
 from sawnet.errors import ConfigError, StructureError, ValidationError
-from sawnet.frontend import LogMelPatch
+
+
+def _probs(bundle, patch):
+    """Class probabilities of one ``[96, 64]`` patch."""
+    return nn.softmax(models.forward_batch(bundle, patch[None]))[0]
 
 
 class TestBuilders:
@@ -67,11 +71,11 @@ class TestForward:
     def test_zero_weights_uniform_softmax(self):
         for build, k in ((models.build_aug_vggish, 5), (models.build_fcn_vggish, 4)):
             bundle = models.init_bundle(build(k), init="zeros")
-            probs = models.forward_probs(bundle, LogMelPatch(values=np.zeros((96, 64))))
+            probs = _probs(bundle, np.zeros((96, 64)))
             np.testing.assert_allclose(probs, np.full(k, 1.0 / k), atol=1e-12)
 
     def test_probabilities_sum_to_one(self, aug_bundle_small):
-        probs = models.forward_probs(aug_bundle_small, random_patch(1))
+        probs = _probs(aug_bundle_small, random_patch(1))
         assert probs.min() >= 0.0
         assert abs(probs.sum() - 1.0) < 1e-6
 
@@ -80,13 +84,13 @@ class TestForward:
         bundle = models.init_bundle(spec, init="zeros")
         bundle.params["head/bias"] = np.array([10.0, -10.0, 0.0], np.float32)
         bundle.validate()
-        probs = models.forward_probs(bundle, LogMelPatch(values=np.zeros((96, 64))))
+        probs = _probs(bundle, np.zeros((96, 64)))
         assert int(np.argmax(probs)) == 0
 
     def test_forward_deterministic(self, aug_bundle_small):
         patch = random_patch(2)
-        first = models.forward_probs(aug_bundle_small, patch)
-        second = models.forward_probs(aug_bundle_small, patch)
+        first = _probs(aug_bundle_small, patch)
+        second = _probs(aug_bundle_small, patch)
         assert np.array_equal(first, second)
 
     def test_fcn_accepts_variable_frame_counts(self, fcn_bundle_small):
@@ -98,17 +102,17 @@ class TestForward:
 
 class TestEmbeddings:
     def test_aug_embedding_width(self, aug_bundle_small):
-        emb = models.forward_embedding(aug_bundle_small, random_patch(3))
-        assert emb.values.shape == (256,)
+        emb = models.forward_embedding(aug_bundle_small, random_patch(3)[None])
+        assert emb.shape == (1, 256)
 
     def test_fcn_embedding_width(self, fcn_bundle_small):
-        emb = models.forward_embedding(fcn_bundle_small, random_patch(4))
-        assert emb.values.shape == (1024,)
+        emb = models.forward_embedding(fcn_bundle_small, random_patch(4)[None])
+        assert emb.shape == (1, 1024)
 
     def test_zero_weights_zero_embedding(self):
         bundle = models.init_bundle(models.build_aug_vggish(2), init="zeros")
-        emb = models.forward_embedding(bundle, random_patch(5))
-        assert np.all(emb.values == 0.0)
+        emb = models.forward_embedding(bundle, random_patch(5)[None])
+        assert np.all(emb == 0.0)
 
 
 class TestFoldBatchnorm:
@@ -139,17 +143,17 @@ class TestFoldBatchnorm:
         assert not any(l.kind == "batchnorm" for l in folded.spec.layers)
         for seed in range(5):
             patch = random_patch(seed)
-            unfolded_probs = models.forward_probs(aug_bundle_small, patch)
-            folded_probs = models.forward_probs(folded, patch)
+            unfolded_probs = _probs(aug_bundle_small, patch)
+            folded_probs = _probs(folded, patch)
             assert np.abs(unfolded_probs - folded_probs).max() < 1e-4
             assert int(np.argmax(unfolded_probs)) == int(np.argmax(folded_probs))
 
     def test_fcn_fold_keeps_embedding_path(self, fcn_bundle_small):
         folded = models.fold_batchnorm(fcn_bundle_small)
         assert folded.spec.embedding_layer == "conv8"
-        patch = random_patch(6)
-        a = models.forward_embedding(fcn_bundle_small, patch).values
-        b = models.forward_embedding(folded, patch).values
+        patch = random_patch(6)[None]
+        a = models.forward_embedding(fcn_bundle_small, patch)
+        b = models.forward_embedding(folded, patch)
         assert np.abs(a - b).max() < 1e-4
 
     def test_bn_without_conv_rejected(self):
@@ -225,20 +229,19 @@ class TestForwardBatch:
     @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6))
     def test_matches_single_patch_forwards(self, as_float64, name, seeds):
         bundle = as_float64(name)
-        patches = [random_patch(s) for s in seeds]
+        patches = random_patches(seeds)
         emb = bundle.spec.embedding_layer
         logits = models.forward_batch(bundle, patches)
         embeddings = models.forward_batch(bundle, patches, stop_after=emb)
         assert logits.shape == (len(patches), bundle.spec.num_classes)
         for i, patch in enumerate(patches):
-            x = patch.values[None, :, :]
+            x = patch[None]
             np.testing.assert_allclose(logits[i], models.run_layers(bundle, x),
                                        rtol=0, atol=1e-9)
             np.testing.assert_allclose(embeddings[i], models.run_layers(bundle, x, emb),
                                        rtol=0, atol=1e-9)
         # the whole list in one run_layers call, whatever batch_size says
-        stacked = np.stack([p.values for p in patches])[:, None]
-        np.testing.assert_allclose(models.run_layers(bundle, stacked), logits,
+        np.testing.assert_allclose(models.run_layers(bundle, patches[:, None]), logits,
                                    rtol=0, atol=1e-9)
 
     def test_batch_size_rule(self, aug_bundle_small, aug_folded_small, fcn_bundle_small):
@@ -248,15 +251,39 @@ class TestForwardBatch:
         assert models.batch_size(models.fold_batchnorm(fcn_bundle_small)) > 1
 
     def test_batched_embeddings(self, fcn_bundle_small):
-        patches = [random_patch(s) for s in range(5)]
-        batched = models.forward_embedding(fcn_bundle_small, patches).values
+        patches = random_patches(range(5))
+        batched = models.forward_embedding(fcn_bundle_small, patches)
         assert batched.shape == (5, 1024)
         for row, patch in zip(batched, patches):
             np.testing.assert_allclose(
-                row, models.forward_embedding(fcn_bundle_small, patch).values, rtol=0, atol=1e-9)
+                row, models.forward_embedding(fcn_bundle_small, patch[None])[0], rtol=0, atol=1e-9)
+
+    def test_chunks_are_slices_of_the_patches(self, fcn_bundle_small, monkeypatch):
+        # 4 patches per call for fcn: 6 patches go as views of [0:4] and [4:6]
+        patches = random_patches(range(6))
+        seen = []
+
+        def record(bundle, x, stop_after=None, _run=models.run_layers):
+            seen.append((x.shape, np.shares_memory(x, patches)))
+            return _run(bundle, x, stop_after)
+
+        monkeypatch.setattr(models, "run_layers", record)
+        models.forward_batch(fcn_bundle_small, patches, stop_after="conv1")
+        assert seen == [((4, 1, 96, 64), True), ((2, 1, 96, 64), True)]
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "fcn_bundle_small"])
+    @pytest.mark.parametrize("hop", [24, 100])
+    def test_strided_patches_match_a_contiguous_copy(self, request, name, hop):
+        bundle = request.getfixturevalue(name)
+        spec = frontend.LogMelSpectrogram(
+            frames=np.random.default_rng(hop).normal(0, 1, (300, 64)))
+        patches = frontend.extract_patches(spec, hop)
+        assert not patches.flags.c_contiguous
+        np.testing.assert_array_equal(models.forward_batch(bundle, patches),
+                                      models.forward_batch(bundle, np.ascontiguousarray(patches)))
 
     def test_unbatched_memory_stays_flat(self, aug_bundle_small):
-        patches = [random_patch(s) for s in range(30)]
+        patches = random_patches(range(30))
         models.forward_batch(aug_bundle_small, patches[:1])  # first-call allocations
         peaks = []
         for chunk in (patches[:1], patches):
@@ -270,7 +297,7 @@ class TestForwardBatch:
 
     @staticmethod
     def _four_patch_peak(bundle):
-        patches = [random_patch(s) for s in range(4)]
+        patches = random_patches(range(4))
         assert models.batch_size(bundle) == 4
         models.forward_batch(bundle, patches[:1])  # first-call allocations
         tracemalloc.start()
@@ -302,7 +329,7 @@ class TestForwardBatch:
 
     @staticmethod
     def _check_in_place_bit_identical(bundle, monkeypatch):
-        patches = [random_patch(s) for s in range(4)]
+        patches = random_patches(range(4))
         emb = bundle.spec.embedding_layer
         in_place = [models.forward_batch(bundle, patches, stop_after=s) for s in (None, emb)]
         for op in ("batchnorm_infer", "relu"):
@@ -319,7 +346,7 @@ class TestForwardBatch:
              models.LayerDef("gap", "global_avg_pool"),
              models.LayerDef("fc", "dense", in_units=1, out_units=2)),
             "gap", 1), init="random", seed=1))
-        x = np.stack([random_patch(s).values for s in range(2)])[:, None].astype(dtype)
+        x = random_patches(range(2))[:, None].astype(dtype)
         before = x.copy()
         for bundle, stop in ((bn_first, "bn"), (bn_first, None), (aug_bundle_small, "bn1"),
                              (aug_bundle_small, None)):
@@ -327,8 +354,9 @@ class TestForwardBatch:
             np.testing.assert_array_equal(x, before)
 
     def test_empty_and_malformed_input_rejected(self, aug_bundle_small):
-        with pytest.raises(ValidationError):
-            models.forward_batch(aug_bundle_small, [])
+        for patches in ([], np.zeros((0, 96, 64)), np.zeros((96, 64))):
+            with pytest.raises(ValidationError):
+                models.forward_batch(aug_bundle_small, patches)
         for shape in ((96, 64), (1, 1, 1, 96, 64)):
             with pytest.raises(ValidationError):
                 models.run_layers(aug_bundle_small, np.zeros(shape))
@@ -345,14 +373,14 @@ class TestFloat32Forward:
     def test_within_1e4_of_float64(self, request, as_float64, name, seeds):
         b32, b64 = request.getfixturevalue(name), as_float64(name)
         assert (b32.dtype, b64.dtype) == (np.float32, np.float64)
-        patches = [random_patch(s) for s in seeds]
+        patches = random_patches(seeds)
         emb = b32.spec.embedding_layer
         outputs = [
             lambda b: models.forward_batch(b, patches),
             lambda b: models.forward_batch(b, patches, stop_after=emb),
-            lambda b: models.forward_embedding(b, patches).values,
-            lambda b: models.run_layers(b, patches[0].values[None]),
-            lambda b: models.run_layers(b, patches[0].values[None], emb),
+            lambda b: models.forward_embedding(b, patches),
+            lambda b: models.run_layers(b, patches[0][None]),
+            lambda b: models.run_layers(b, patches[0][None], emb),
         ]
         results = [(output(b32), output(b64)) for output in outputs]
         for got, want in results:
@@ -372,13 +400,13 @@ class TestFloat32Forward:
     def test_input_rounded_once_at_entry(self, aug_bundle_small):
         # a float64 patch and its float32 rounding (what a feature container
         # stores) give the same float32 forward
-        x = random_patch(7).values[None]
+        x = random_patch(7)[None]
         np.testing.assert_array_equal(models.run_layers(aug_bundle_small, x),
                                       models.run_layers(aug_bundle_small, x.astype(np.float32)))
 
     def test_float64_bundle_leaves_its_input_untouched(self, as_float64):
         bundle = as_float64("aug_bundle_small")
-        x = np.stack([random_patch(s).values for s in range(2)])[:, None]
+        x = random_patches(range(2))[:, None]
         before = x.copy()
         for stop in ("conv1", "bn1", None):
             models.run_layers(bundle, x, stop)
@@ -438,7 +466,7 @@ class TestLayerKindTable:
                 calls[_name] += 1
                 return _op(*args, **kwargs)
             monkeypatch.setattr(nn, op, counted)
-        models.run_layers(bundle, np.stack([random_patch(s).values for s in range(2)])[:, None])
+        models.run_layers(bundle, random_patches(range(2))[:, None])
         layers = bundle.spec.layers
         expected = {op: sum(l.kind == kind for l in layers) for kind, op in _OPS.items()}
         expected["relu"] = sum(l.relu for l in layers)

@@ -1,8 +1,7 @@
 """Operator unit tests against independent oracles.
 
-conv2d_same is checked against a quadruple-loop reference, and the
-cross-entropy gradient against central finite differences, before any
-worked examples are asserted.
+conv2d_same is checked against a quadruple-loop reference before any worked
+examples are asserted.
 """
 
 import math
@@ -34,12 +33,6 @@ def conv2d_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np
                                 acc += kernels[o, c, dy, dx] * x[c, yy, xx2]
                 out[o, y, xx] = acc
     return out
-
-
-def cross_entropy_reference(logits: np.ndarray, true_class: int) -> float:
-    probs = np.exp(logits - logits.max())
-    probs /= probs.sum()
-    return -math.log(probs[true_class])
 
 
 class TestConv2dSame:
@@ -283,53 +276,6 @@ class TestLogSoftmax:
         for shape in ((), (0,), (2, 3, 4)):
             with pytest.raises(ShapeError):
                 nn.log_softmax(np.zeros(shape))
-
-
-class TestCrossEntropyGrad:
-    def test_worked_example(self):
-        loss, grad = nn.cross_entropy_grad(np.array([0.0, 0.0]), 0)
-        assert abs(loss - math.log(2.0)) < 1e-12
-        np.testing.assert_allclose(grad, [-0.5, 0.5], atol=1e-12)
-
-    def test_saturated_correct(self):
-        loss, grad = nn.cross_entropy_grad(np.array([30.0, -30.0]), 0)
-        assert loss < 1e-12
-        assert np.abs(grad).max() < 1e-12
-
-    def test_gradient_sums_to_zero(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            _, grad = nn.cross_entropy_grad(rng.normal(0, 3, 8), int(rng.integers(8)))
-            assert abs(grad.sum()) < 1e-12
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        h = 1e-4
-        for _ in range(10):
-            logits = rng.normal(0, 2, 50)
-            true_class = int(rng.integers(50))
-            _, grad = nn.cross_entropy_grad(logits, true_class)
-            for i in rng.choice(50, size=8, replace=False):
-                bumped_up, bumped_dn = logits.copy(), logits.copy()
-                bumped_up[i] += h
-                bumped_dn[i] -= h
-                numeric = (cross_entropy_reference(bumped_up, true_class)
-                           - cross_entropy_reference(bumped_dn, true_class)) / (2 * h)
-                denom = max(abs(numeric), 1e-8)
-                assert abs(grad[i] - numeric) / denom < 1e-4
-
-    def test_loss_bit_identical_to_its_own_log_sum_exp(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            z = rng.normal(0, 4, 9)
-            t = int(rng.integers(9))
-            shifted = z - z.max()
-            assert nn.cross_entropy_grad(z, t)[0] == float(np.log(np.exp(shifted).sum())
-                                                           - shifted[t])
-
-    def test_out_of_range_class(self):
-        with pytest.raises(IndexError):
-            nn.cross_entropy_grad(np.zeros(3), 3)
 
 
 class TestBatchedOperators:

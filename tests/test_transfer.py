@@ -259,9 +259,10 @@ class TestExtractEmbeddings:
         eset, errors = transfer.extract_embeddings(embed_bundle, [(clip, 0, 1)], num_classes=2)
         assert not errors
         spec = frontend.log_mel_spectrogram(clip)
-        patches = frontend.extract_patches(spec, 96, pad=True)
+        patches = frontend.extract_patches(spec)
         assert len(patches) == 5
-        manual = np.mean([models.forward_embedding(embed_bundle, p).values for p in patches], axis=0)
+        manual = np.mean([models.forward_embedding(embed_bundle, p[None])[0] for p in patches],
+                         axis=0)
         np.testing.assert_array_equal(eset.items[0].vector, manual)
 
     def test_batched_fcn_clip_matches_single_patches(self):
@@ -273,8 +274,8 @@ class TestExtractEmbeddings:
             16000, "clip-f")
         eset, errors = transfer.extract_embeddings(bundle, [(clip, 0, 1)], num_classes=2)
         assert not errors
-        patches = frontend.extract_patches(frontend.log_mel_spectrogram(clip), 96, pad=True)
-        manual = np.mean([models.forward_embedding(bundle, p).values for p in patches], axis=0)
+        patches = frontend.extract_patches(frontend.log_mel_spectrogram(clip))
+        manual = np.mean([models.forward_embedding(bundle, p[None])[0] for p in patches], axis=0)
         np.testing.assert_allclose(eset.items[0].vector, manual, rtol=0, atol=1e-9)
 
     def test_one_second_clip_single_patch(self, embed_bundle):
@@ -282,9 +283,10 @@ class TestExtractEmbeddings:
         clip = frontend.AudioClip(rng.uniform(-0.3, 0.3, 16000).astype(np.float32),
                                   16000, "clip-b")
         eset, _ = transfer.extract_embeddings(embed_bundle, [(clip, 1, 2)], num_classes=2)
-        patch = frontend.extract_patches(frontend.log_mel_spectrogram(clip), 96, pad=True)[0]
+        patches = frontend.extract_patches(frontend.log_mel_spectrogram(clip))
+        assert len(patches) == 1
         np.testing.assert_array_equal(
-            eset.items[0].vector, models.forward_embedding(embed_bundle, patch).values)
+            eset.items[0].vector, models.forward_embedding(embed_bundle, patches)[0])
 
     def test_identical_clips_identical_embeddings(self, embed_bundle):
         samples = np.random.default_rng(33).uniform(-0.2, 0.2, 16000).astype(np.float32)
