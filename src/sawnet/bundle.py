@@ -232,7 +232,8 @@ def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
 
 def load_spectrogram(path) -> LogMelSpectrogram:
     """Load a spectrogram container, checking its preproc_tag like `load_bundle`
-    and any frame timing it records against the convention."""
+    and any frame timing it records against the convention; the frames are
+    the container's read-only float32 `logmel` tensor as read."""
     header, tensors = read_container(path)
     preproc_tag = header.get("preproc_tag", PREPROC_TAG)
     if preproc_tag != PREPROC_TAG:
@@ -256,7 +257,7 @@ def load_spectrogram(path) -> LogMelSpectrogram:
         raise ValidationError(
             f"num_samples {num_samples!r} does not match {frames.shape[0]} frames")
     return LogMelSpectrogram(
-        frames=frames.astype(np.float64),
+        frames=frames,
         source_id=str(header.get("source_id", "")),
         num_samples=num_samples,
     )

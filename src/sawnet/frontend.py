@@ -91,8 +91,11 @@ class AudioSource(Protocol):
 class LogMelSpectrogram:
     """Natural-log mel energies, one row per frame, 64 columns.
 
-    `num_samples` is the length of the 16 kHz clip the frames came from, or
-    None when it is not known (spectrograms built or stored without it).
+    `frames` is float64 from `log_mel_spectrogram` and the container's
+    read-only float32 from `bundle.load_spectrogram`; a float32 network rounds
+    either to the same input. `num_samples` is the length of the 16 kHz clip
+    the frames came from, or None when it is not known (spectrograms built or
+    stored without it).
     """
 
     frames: np.ndarray

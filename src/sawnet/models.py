@@ -394,8 +394,9 @@ def batch_size(bundle: WeightBundle) -> int:
     and activations share that dtype, so the rule gives 1 for aug_vggish and
     4 for fcn_vggish in float32 and in float64 alike. Within a call,
     `nn.conv2d_same` splits the batch again per layer, so that a layer's
-    patches share one product only while its kernels outweigh their im2col
-    block; the two rules together decide how patches share the weight passes.
+    patches share one product only while its kernels outweigh twice their
+    im2col block; the two rules together decide how patches share the weight
+    passes.
     """
     activation_bytes = (max(map(math.prod, _activation_shapes(bundle.spec)))
                         * bundle.dtype.itemsize)

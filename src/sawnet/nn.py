@@ -5,12 +5,14 @@ Tensors are plain numpy arrays. Feature maps are channels-first: one map is
 batch of vectors is ``[B, K]``. Every map and vector operator takes either form
 and treats the items of a batch independently: a batch gives per item what
 single calls give, up to the last-bit rounding of a differently blocked matrix
-product. A conv returns channels-first views of channels-last memory (its
-matrix product's row order). Every operator computes in the promoted dtype of
-its input and parameters: float32 maps with float32 parameters run float32
-matrix products and multiplies, and anything with a float64 operand runs in
-float64. The one exception is the dense head's loss path: `softmax` and
-`log_softmax` always work in float64.
+product. A conv's output is stored channel-major, ``[C, B, H, W]`` memory
+seen as a ``[B, C, H, W]`` view (a plain C-contiguous map for one item), the
+row order of its matrix product; batch norm, ReLU and pooling keep that
+order, so the next conv gathers from it by a straight copy. Every operator
+computes in the promoted dtype of its input and parameters: float32 maps with
+float32 parameters run float32 matrix products and multiplies, and anything
+with a float64 operand runs in float64. The one exception is the dense head's
+loss path: `softmax` and `log_softmax` always work in float64.
 
 Parameter objects hold read-only views of the arrays they are given, never
 copies, and prepare what every call needs once at construction: a conv keeps
@@ -170,31 +172,45 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     Zero padding keeps the spatial size; out-of-range taps contribute 0.
     Implemented as im2col + matmul in the promoted dtype of `x` and the
     kernels. The im2col matrix is gathered in source order,
-    ``[C_in*k*k, items*H*W]``, so the copy moves whole rows of W; the product
-    runs on its transpose. Items of a batch share one product only while the
-    kernel matrix outweighs their im2col block, so a batch never holds more
-    im2col than the larger of the kernels and one item's block. This split
-    works with `models.batch_size`, which picks how many patches reach this
-    operator together.
+    ``[C_in*k*k, items*H*W]``, each tap's H*W values of an item copied as one
+    run, and ``kmat @ cols`` writes the output channel-major. Items of a batch
+    share one product only while the kernel matrix outweighs twice their
+    im2col block, so a batch never holds more im2col than the larger of half
+    the kernels and one item's block. This split works with
+    `models.batch_size`, which picks how many patches reach this operator
+    together.
     """
     x = _check_maps(x, "conv2d_same")
     dtype = np.result_type(x, p.kernels)
-    batch = (x if x.ndim == 4 else x[None]).astype(dtype, copy=False)
+    batch = x if x.ndim == 4 else x[None]
     b, c, h, w = batch.shape
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernels expect {p.in_channels}")
     k = p.kernels.shape[2]
     pad = k // 2
-    step = max(1, p.kmat.nbytes // (c * k * k * h * w * batch.itemsize))
-    out = np.empty((b * h * w, p.out_channels), dtype)
+    hp = h + 2 * pad
+    step = max(1, p.kmat.nbytes // (2 * c * k * k * h * w * dtype.itemsize))
+    out = np.empty((p.out_channels, b * h * w), dtype)
     for i in range(0, b, step):
-        xp = np.pad(batch[i:i + step], ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # [m, C, H, W, k, k] -> [C, k, k, m, H, W] -> [C*k*k, m*H*W]
-        cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        cols = cols.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
-        np.matmul(cols.T, p.kmat.T, out=out[i * h * w:i * h * w + cols.shape[1]])
-    out += p.bias
-    out = out.reshape(b, h, w, p.out_channels).transpose(0, 3, 1, 2)
+        m = min(step, b - i)
+        # per channel, the m items' rows zero-bordered above and below, as one
+        # run with `pad` zeros at each end: each tap (dy, dx) then reads H*W
+        # consecutive values, and those it reads across a row end are zeroed
+        flat = np.zeros((c, m * hp * w + 2 * pad), dtype)
+        flat[:, pad:pad + m * hp * w].reshape(c, m, hp, w)[:, :, pad:pad + h] = (
+            batch[i:i + m].transpose(1, 0, 2, 3))
+        s0, s1 = flat.strides
+        # [C, k, k, m, H, W]; rebinding `taps` to the view first frees the
+        # previous chunk's copy before this one is made
+        taps = np.lib.stride_tricks.as_strided(flat, (c, k, k, m, h, w), (
+            s0, w * s1, s1, hp * w * s1, w * s1, s1), writeable=False)
+        taps = taps.copy()
+        for dx in range(k):
+            taps[:, :, dx, :, :, :max(0, pad - dx)] = 0
+            taps[:, :, dx, :, :, max(0, w + pad - dx):] = 0
+        np.matmul(p.kmat, taps.reshape(c * k * k, -1), out=out[:, i * h * w:(i + m) * h * w])
+    out += p.bias[:, None]
+    out = out.reshape(p.out_channels, b, h, w).transpose(1, 0, 2, 3)
     return out if x.ndim == 4 else out[0]
 
 
@@ -239,9 +255,11 @@ def maxpool_2x2(x: np.ndarray) -> np.ndarray:
     h, w = x.shape[-2:]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool_2x2 needs H, W >= 2, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    blocks = x[..., : 2 * h2, : 2 * w2].reshape(*x.shape[:-2], h2, 2, w2, 2)
-    return blocks.max(axis=(-3, -1))
+    # h // 2 rows each: even rows 0, 2, ... < h - 1 and odd rows 1, 3, ... < h
+    r0, r1, c0, c1 = slice(0, h - 1, 2), slice(1, h, 2), slice(0, w - 1, 2), slice(1, w, 2)
+    out = np.maximum(x[..., r0, c0], x[..., r0, c1])
+    np.maximum(out, x[..., r1, c0], out=out)
+    return np.maximum(out, x[..., r1, c1], out=out)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -135,7 +135,7 @@ def extract_embeddings(
 
 def _design_matrix(eset: EmbeddingSet) -> tuple[np.ndarray, np.ndarray, list[str]]:
     items = sorted(eset.items, key=lambda i: i.clip_id)
-    x = np.stack([i.vector for i in items]).astype(np.float64)
+    x = np.stack([i.vector for i in items], dtype=np.float64)
     y = np.array([i.label for i in items], dtype=np.int64)
     return x, y, [i.clip_id for i in items]
 

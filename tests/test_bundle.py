@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import float64_copy, random_bn_stats, random_patch
-from sawnet import bundle, frontend, models, nn
+from sawnet import bundle, evaluation, frontend, models, nn
 from sawnet.errors import FormatError, ValidationError
 from sawnet.frontend import PREPROC_TAG, LogMelSpectrogram
 
@@ -205,9 +205,9 @@ def _cast_per_call_forward(spec, tensors, epsilon, x, stop_after=None):
             k, pad = layer.kernel, layer.kernel // 2
             xp = np.pad(x.astype(np.float64, copy=False), ((0, 0), (pad, pad), (pad, pad)))
             cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-            cols = cols.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
+            cols = cols.transpose(0, 3, 4, 1, 2).reshape(c * k * k, h * w)
             kmat = t["kernels"].astype(np.float64).reshape(layer.out_ch, c * k * k)
-            x = (cols @ kmat.T + t["bias"].astype(np.float64)).T.reshape(layer.out_ch, h, w)
+            x = (kmat @ cols + t["bias"].astype(np.float64)[:, None]).reshape(layer.out_ch, h, w)
         elif layer.kind == "batchnorm":
             scale = t["gamma"].astype(np.float64) / np.sqrt(t["var"].astype(np.float64) + epsilon)
             shift = t["beta"].astype(np.float64) - t["mean"].astype(np.float64) * scale
@@ -363,6 +363,49 @@ class TestSpectrogramContainer:
         assert loaded.frames.shape == (130, 64)
         # payload is float32, so expect float32 resolution
         np.testing.assert_allclose(loaded.frames, frames, atol=1e-5)
+
+    def test_loaded_frames_are_the_read_float32(self, tmp_path):
+        path = tmp_path / "s.csnw"
+        bundle.save_spectrogram(path, LogMelSpectrogram(frames=np.ones((120, 64))))
+        frames = bundle.load_spectrogram(path).frames
+        assert frames.dtype == np.float32
+        with pytest.raises(ValueError):
+            frames[0, 0] = 0.0
+
+    def test_load_peaks_near_one_file_size(self, tmp_path):
+        # widening the frames to float64 took the peak to 3x the file size
+        path = tmp_path / "long.csnw"
+        frames = np.random.default_rng(10).normal(-2, 1, (20000, 64))
+        bundle.save_spectrogram(path, LogMelSpectrogram(frames=frames, source_id="long"))
+        del frames
+        bundle.load_spectrogram(path)
+        tracemalloc.start()
+        try:
+            loaded = bundle.load_spectrogram(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.num_frames == 20000
+        assert peak < 1.1 * path.stat().st_size
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "fcn_bundle_small"])
+    def test_float32_frames_give_the_widened_frames_results(self, tmp_path, request, name):
+        # a network rounds its input to its own dtype, so the float32 frames
+        # give exactly what their float64 widening gave
+        net = request.getfixturevalue(name)
+        path = tmp_path / "s.csnw"
+        rng = np.random.default_rng(11)
+        bundle.save_spectrogram(path, LogMelSpectrogram(
+            frames=rng.normal(-2, 1, (498, 64)), num_samples=80000))
+        loaded = bundle.load_spectrogram(path)
+        widened = LogMelSpectrogram(loaded.frames.astype(np.float64), loaded.source_id,
+                                    loaded.num_samples)
+        for b in (net, float64_copy(net)):
+            assert (evaluation.score_spectrogram(b, loaded, 1)
+                    == evaluation.score_spectrogram(b, widened, 1))
+            np.testing.assert_array_equal(
+                models.forward_batch(b, frontend.extract_patches(loaded)),
+                models.forward_batch(b, frontend.extract_patches(widened)))
 
     def test_frame_timing_recorded_and_optional(self, tmp_path):
         path = tmp_path / "s.csnw"

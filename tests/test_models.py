@@ -309,11 +309,12 @@ class TestForwardBatch:
 
     def test_in_place_bn_relu_peak(self, as_float64):
         # a copy of bn1's 12.6 MB input map, plus one more for its ReLU, took
-        # the peak to 36 MB; the largest conv's im2col now sets it
+        # the peak to 36 MB; conv5 and conv6 now run 4 patches as 2 products of
+        # 2 (their kernels outweigh twice a 2-patch im2col block), 18.2 MB
         assert self._four_patch_peak(as_float64("fcn_bundle_small")) <= 20e6
 
     def test_in_place_bn_relu_peak_float32(self, fcn_bundle_small):
-        # half the float64 path's maps and im2col
+        # half the float64 path's maps and im2col, 9.1 MB
         assert fcn_bundle_small.dtype == np.float32
         assert self._four_patch_peak(fcn_bundle_small) <= 10e6
 

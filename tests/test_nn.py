@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawnet import nn
@@ -287,7 +287,7 @@ class TestBatchedOperators:
     def per_item(op, batch):
         return np.stack([op(item) for item in batch])
 
-    @pytest.mark.parametrize("out_ch", [4, 64])  # one item per product / three, then two
+    @pytest.mark.parametrize("out_ch", [4, 64])  # one item per product at both sizes
     def test_conv2d_same(self, out_ch):
         rng = np.random.default_rng(60)
         x = rng.normal(0, 1, (self.B, 3, 4, 5))
@@ -334,6 +334,88 @@ class TestBatchedOperators:
         for shape in ((2, 4), (1, 1, 2, 4, 4)):
             with pytest.raises(ShapeError):
                 op(np.zeros(shape), *args)
+
+
+def _reshape_max_pool(x):
+    """The reshape-and-reduce 2x2 max pool, as an oracle for the strided one."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    blocks = x[..., : 2 * h2, : 2 * w2].reshape(*x.shape[:-2], h2, 2, w2, 2)
+    return blocks.max(axis=(-3, -1))
+
+
+# a [B, C, H, W] batch stored in each memory order the operators meet
+_LAYOUTS = {
+    "c-contiguous": lambda a: np.ascontiguousarray(a),
+    "channel-major": lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+    "channels-last": lambda a: np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+}
+
+
+class TestChannelMajorLayout:
+    """A conv stores its output channel-major, ``[C_out, B, H, W]`` memory seen as
+    ``[B, C_out, H, W]``; the operators after it accept that order and keep it."""
+
+    @staticmethod
+    def params(out_ch, in_ch, seed=70):
+        rng = np.random.default_rng(seed)
+        return nn.ConvParams(rng.normal(0, 1, (out_ch, in_ch, 3, 3)), rng.normal(0, 1, out_ch))
+
+    def test_single_item_output_is_c_contiguous(self):
+        x = np.random.default_rng(71).normal(0, 1, (3, 5, 6))
+        p = self.params(4, 3)
+        for out in (nn.conv2d_same(x, p), nn.conv2d_same(x[None], p)[0]):
+            assert out.shape == (4, 5, 6) and out.flags.c_contiguous
+
+    def test_batch_output_is_a_view_of_channel_major_memory(self):
+        x = np.random.default_rng(72).normal(0, 1, (3, 2, 5, 6))
+        out = nn.conv2d_same(x, self.params(4, 2))
+        assert out.shape == (3, 4, 5, 6)
+        assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert out.base is not None and out.base.size == out.size
+
+    def test_conv_of_a_conv_output_matches_bruteforce(self):
+        rng = np.random.default_rng(74)
+        x = rng.normal(0, 1, (3, 2, 6, 4))
+        first, second = self.params(5, 2, seed=75), self.params(128, 5, seed=76)
+        got = nn.conv2d_same(nn.conv2d_same(x, first), second)
+        want = np.stack([conv2d_reference(conv2d_reference(m, first.kernels, first.bias),
+                                          second.kernels, second.bias) for m in x])
+        assert np.abs(got - want).max() < 1e-9
+
+    @given(st.integers(0, 4), st.integers(1, 3), st.sampled_from([1, 3, 40]),
+           st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3, 5, 7]),
+           st.sampled_from(sorted(_LAYOUTS)), st.integers(0, 2**32 - 1))
+    @example(2, 1, 3, 3, 2, 7, "c-contiguous", 0)
+    @settings(max_examples=60, deadline=None)
+    def test_conv_matches_bruteforce_property(self, b, in_ch, out_ch, h, w, k, layout, seed):
+        # b == 0 is an unbatched map; 40 output channels make small maps share
+        # a product, and 5x5 and 7x7 kernels reach past maps narrower than their border
+        rng = np.random.default_rng(seed)
+        x = _LAYOUTS[layout](rng.normal(0, 1, (max(b, 1), in_ch, h, w)))
+        kernels = rng.normal(0, 1, (out_ch, in_ch, k, k))
+        bias = rng.normal(0, 1, out_ch)
+        got = nn.conv2d_same(x if b else x[0], nn.ConvParams(kernels, bias))
+        want = np.stack([conv2d_reference(m, kernels, bias) for m in x])
+        assert np.abs((got if b else got[None]) - want).max() < 1e-9
+
+    def test_pool_keeps_channel_major_order(self):
+        x = nn.conv2d_same(np.random.default_rng(77).normal(0, 1, (2, 3, 6, 4)),
+                           self.params(4, 3))
+        assert nn.maxpool_2x2(x).transpose(1, 0, 2, 3).flags.c_contiguous
+
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 4), st.integers(1, 3),
+           st.sampled_from([np.float32, np.float64]), st.sampled_from(sorted(_LAYOUTS)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_maxpool_equals_reshape_max(self, h, w, b, c, dtype, layout, seed):
+        # b == 0 is an unbatched [C, H, W] map
+        x = np.random.default_rng(seed).normal(0, 1, (max(b, 1), c, h, w)).astype(dtype)
+        x = _LAYOUTS[layout](x)
+        if b == 0:
+            x = x[0]
+        got = nn.maxpool_2x2(x)
+        assert got.dtype == dtype
+        assert np.array_equal(got, _reshape_max_pool(x))
 
 
 class TestNonFiniteParameters:
