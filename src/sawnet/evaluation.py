@@ -162,7 +162,7 @@ def merge_events(
 
 
 def _make_event(clip_id: str, start: int, last: int, by_second: dict[int, float]) -> DetectionEvent:
-    peak = max(p for s, p in by_second.items() if start <= s <= last)
+    peak = max(by_second[s] for s in range(start, last + 1) if s in by_second)
     return DetectionEvent(clip_id=clip_id, start_s=start, end_s=last + 1, peak_probability=peak)
 
 

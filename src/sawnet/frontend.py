@@ -252,7 +252,7 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
     FFT magnitude squared, mel filterbank, then ``ln(energy + 0.01)``.
     """
     if clip.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"expected a {SAMPLE_RATE} Hz clip, got {clip.sample_rate} Hz")
+        raise ConfigError(f"expected a {SAMPLE_RATE} Hz clip, got {clip.sample_rate} Hz")
     x = clip.samples.astype(np.float64)
     if len(x) < FRAME_LEN:
         raise TooShort(f"need at least {FRAME_LEN} samples, got {len(x)}")

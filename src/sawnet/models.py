@@ -14,21 +14,22 @@ single input channel:
                pooling. No dense layers. 18,716,338 parameters at 50 classes.
 
 Patches (`frontend.extract_patches`) are fixed at 96x64, but global pooling
-lets `run_layers` take any [1, H, W] input whose pools each see at least 2x2:
-H, W >= 16 for aug_vggish (four pools) and H, W >= 32 for fcn_vggish (five);
-a 31-row input to fcn_vggish raises `ShapeError` at pool5.
+lets `run_layers` take any [B, 1, H, W] input whose pools each see at least
+2x2: H, W >= 16 for aug_vggish (four pools) and H, W >= 32 for fcn_vggish
+(five); a 31-row input to fcn_vggish raises `ShapeError` at pool5.
 
 The embedding (penultimate representation) is the 256-unit FC output for
 aug_vggish and the globally pooled 1024-channel feature map for fcn_vggish.
 
-Every forward goes through `run_layers`, which takes one ``[C, H, W]`` patch
-or a ``[B, C, H, W]`` batch. `forward_batch` runs an ``[N, H, W]`` array of
-patches through it in chunks of `batch_size` patches, and `forward_embedding`
-does the same up to the embedding; one patch `p` is ``p[None]``. A chunk
-shares one pass over every weight among its patches but holds all of their
-activations at once, so batching pays only where the weights outweigh one
-patch's activations: fcn_vggish's 1024-channel kernels on a 3x2 map run 4
-patches per call, aug_vggish runs 1.
+Every forward goes through `run_layers`, which takes a ``[B, C, H, W]`` batch
+and makes one `nn` operator call per layer, batch norm and ReLU in place.
+`forward_batch` runs an ``[N, H, W]`` array of patches through it in chunks
+of `batch_size` patches, and `forward_embedding` does the same up to the
+embedding; one patch `p` is ``p[None]``. A chunk shares one pass over every
+weight among its patches but holds all of their activations at once, so
+batching pays only where the weights outweigh one patch's activations:
+fcn_vggish's 1024-channel kernels on a 3x2 map run 4 patches per call,
+aug_vggish runs 1.
 """
 
 from __future__ import annotations
@@ -159,17 +160,18 @@ def build_arch(arch_id: str, num_classes: int) -> ModelSpec:
 class _Kind(NamedTuple):
     """How one layer kind is shaped, run, built and shown.
 
-    `out_shape(layer, s)` is the output shape for an input of shape `s`,
+    `out_shape(layer, s)` is the output shape for one item of shape `s`,
     ``(C, H, W)`` or ``(K,)``, or None when the layer cannot take it.
-    `forward(x, params, out)` runs the layer; `out` may receive a batch norm's
-    result. `shapes(layer)` names its parameter tensors, `build(layer, tensors,
-    epsilon)` makes its `nn` params object from them and `show(layer)` is its
-    `sawnet info` text. A forward looks up `nn.<op>` when it runs, so an
+    `forward(x, params)` runs the layer on a batch, ``[B, C, H, W]`` or
+    ``[B, K]``; a batch norm writes into `x`. `shapes(layer)` names its
+    parameter tensors, `build(layer, tensors, epsilon)` makes its `nn` params
+    object from them (which rejects non-finite values) and `show(layer)` is
+    its `sawnet info` text. A forward looks up `nn.<op>` when it runs, so an
     operator replaced on the module (by a tracer or a test) is the one called.
     """
 
     out_shape: Callable[[LayerDef, tuple], tuple | None]
-    forward: Callable[[np.ndarray, object, np.ndarray | None], np.ndarray]
+    forward: Callable[[np.ndarray, object], np.ndarray]
     shapes: Callable[[LayerDef], dict] = lambda layer: {}
     build: Callable[[LayerDef, dict, float], object] | None = None
     show: Callable[[LayerDef], str] = lambda layer: ""
@@ -178,30 +180,30 @@ class _Kind(NamedTuple):
 _KINDS = {
     "conv": _Kind(
         out_shape=lambda l, s: (l.out_ch, *s[1:]) if len(s) == 3 and s[0] == l.in_ch else None,
-        forward=lambda x, p, out: nn.conv2d_same(x, p),
+        forward=lambda x, p: nn.conv2d_same(x, p),
         shapes=lambda l: {"kernels": (l.out_ch, l.in_ch, l.kernel, l.kernel),
                           "bias": (l.out_ch,)},
-        build=lambda l, t, epsilon: nn.ConvParams(t["kernels"], t["bias"], assume_finite=True),
+        build=lambda l, t, epsilon: nn.ConvParams(t["kernels"], t["bias"]),
         show=lambda l: f"{l.in_ch}->{l.out_ch} {l.kernel}x{l.kernel}"),
     "batchnorm": _Kind(
         out_shape=lambda l, s: s if len(s) == 3 and s[0] == l.channels else None,
-        forward=lambda x, p, out: nn.batchnorm_infer(x, p, out=out),
+        forward=lambda x, p: nn.batchnorm_infer(x, p),
         shapes=lambda l: dict.fromkeys(("gamma", "beta", "mean", "var"), (l.channels,)),
         build=lambda l, t, epsilon: nn.BatchNormParams(
-            t["gamma"], t["beta"], t["mean"], t["var"], epsilon=epsilon, assume_finite=True),
+            t["gamma"], t["beta"], t["mean"], t["var"], epsilon=epsilon),
         show=lambda l: f"{l.channels} channels"),
     "maxpool": _Kind(
         out_shape=lambda l, s: ((s[0], s[1] // 2, s[2] // 2)
                                 if len(s) == 3 and min(s[1:]) >= 2 else None),
-        forward=lambda x, p, out: nn.maxpool_2x2(x)),
+        forward=lambda x, p: nn.maxpool_2x2(x)),
     "global_avg_pool": _Kind(
         out_shape=lambda l, s: s[:1] if len(s) == 3 else None,
-        forward=lambda x, p, out: nn.global_avg_pool(x)),
+        forward=lambda x, p: nn.global_avg_pool(x)),
     "dense": _Kind(
         out_shape=lambda l, s: (l.out_units,) if s == (l.in_units,) else None,
-        forward=lambda x, p, out: nn.dense(x, p),
+        forward=lambda x, p: nn.dense(x, p),
         shapes=lambda l: {"weights": (l.out_units, l.in_units), "bias": (l.out_units,)},
-        build=lambda l, t, epsilon: nn.DenseParams(t["weights"], t["bias"], assume_finite=True),
+        build=lambda l, t, epsilon: nn.DenseParams(t["weights"], t["bias"]),
         show=lambda l: f"{l.in_units}->{l.out_units}"),
 }
 
@@ -262,11 +264,11 @@ class WeightBundle:
     `dtype` is the bundle's compute dtype, the promoted dtype of its tensors:
     float32 for every bundle loaded from a container, float64 when an
     in-memory bundle is given float64 arrays (the reference path). Validation
-    checks each tensor for non-finite values once, then makes it a read-only
-    array of that dtype (an array already in it is kept, not copied, and
-    becomes read-only; a non-float one becomes float32) and the layer
-    operators view those same arrays, so the weights are held once, at the
-    size of their float32 container.
+    makes each tensor a read-only array of that dtype (an array already in it
+    is kept, not copied, and becomes read-only; a non-float one becomes
+    float32) and builds the layer operators' params on those same arrays,
+    which checks each tensor for non-finite values once. The weights are held
+    once, at the size of their float32 container.
     """
 
     spec: ModelSpec
@@ -297,9 +299,6 @@ class WeightBundle:
                     raise ValidationError(
                         f"tensor {key!r} has shape {src.shape}, expected {shape}"
                     )
-                if not np.all(np.isfinite(src)):
-                    raise ValidationError(
-                        f"layer {layer.name}: {suffix} contains non-finite values")
                 arr = np.asarray(src, dtype=self.dtype)
                 arr.setflags(write=False)
                 self.params[key] = tensors[suffix] = arr
@@ -358,7 +357,7 @@ def init_bundle(
 
 
 def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = None) -> np.ndarray:
-    """Execute the layer list on a [C, H, W] patch or a [B, C, H, W] batch.
+    """Execute the layer list on a [B, C, H, W] batch.
 
     The input is copied into `bundle.dtype` once, so every layer computes in
     the weights' own dtype and the caller's `x` is never written: a float32
@@ -371,14 +370,13 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
     its map instead of three.
     """
     x = np.asarray(x)
-    if x.ndim not in (3, 4):
-        raise ValidationError(
-            f"network input must be [C, H, W] or [B, C, H, W], got shape {x.shape}")
+    if x.ndim != 4:
+        raise ValidationError(f"network input must be a [B, C, H, W] batch, got shape {x.shape}")
     x = x.astype(bundle.dtype)
     for layer in bundle.spec.layers:
-        x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name), x)
+        x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name))
         if layer.relu:
-            x = nn.relu(x, out=x)
+            x = nn.relu(x)
         if layer.name == stop_after:
             return x
     if stop_after is not None:

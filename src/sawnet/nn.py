@@ -1,27 +1,25 @@
 """Neural operators for forward inference and for the dense head's loss.
 
-Tensors are plain numpy arrays. Feature maps are channels-first: one map is
-``[C, H, W]`` and a batch of maps is ``[B, C, H, W]``; vectors are ``[K]`` and a
-batch of vectors is ``[B, K]``. Every map and vector operator takes either form
-and treats the items of a batch independently: a batch gives per item what
-single calls give, up to the last-bit rounding of a differently blocked matrix
-product. A conv's output is stored channel-major, ``[C, B, H, W]`` memory
-seen as a ``[B, C, H, W]`` view (a plain C-contiguous map for one item), the
-row order of its matrix product; batch norm, ReLU and pooling keep that
-order, so the next conv gathers from it by a straight copy. Every operator
-computes in the promoted dtype of its input and parameters: float32 maps with
-float32 parameters run float32 matrix products and multiplies, and anything
-with a float64 operand runs in float64. The one exception is the dense head's
-loss path: `softmax` and `log_softmax` always work in float64.
+Tensors are plain numpy arrays. The network operators take only batches,
+channels-first ``[B, C, H, W]`` maps and ``[B, K]`` vectors (one item is
+``x[None]``), and treat their items independently, up to the last-bit
+rounding of a differently blocked matrix product. A conv's output is stored
+channel-major, ``[C, B, H, W]`` memory seen as a ``[B, C, H, W]`` view (a
+plain C-contiguous map for one item), the row order of its matrix product;
+batch norm, ReLU and pooling keep that order, so the next conv gathers from
+it by a straight copy. Batch norm and ReLU write into their input and return
+it. Every operator computes in the promoted dtype of its input and
+parameters: float32 maps with float32 parameters run float32 matrix products
+and multiplies, and anything with a float64 operand runs in float64. The one
+exception is the dense head's loss path: `softmax` and `log_softmax` take
+``[K]`` or ``[B, K]`` logits and always work in float64.
 
 Parameter objects hold read-only views of the arrays they are given, never
-copies, and prepare what every call needs once at construction: a conv keeps
-its kernels as an ``[out, in*k*k]`` matrix, a batch norm its per-channel scale
-and shift. They reject non-finite values unless built with
-``assume_finite=True`` by a caller that has already scanned them.
-`models.WeightBundle` does so, scanning each tensor once, and hands them its
-read-only arrays in the bundle's own dtype, so a network forward casts no
-weight.
+copies, reject non-finite values, and prepare what every call needs once at
+construction: a conv keeps its kernels as an ``[out, in*k*k]`` matrix, a
+batch norm its per-channel scale and shift. `models.WeightBundle` builds them
+on its read-only arrays in the bundle's own dtype, so each tensor is scanned
+once and a network forward casts no weight.
 
 Nothing here has a backward path: `transfer.train_head` forms the dense
 head's gradient itself (softmax minus one-hot, times the inputs), and
@@ -30,19 +28,19 @@ convolution and batch norm are inference-only.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
 
 
-def _readonly(a, name: str, check_finite: bool = True) -> np.ndarray:
-    """A read-only view of `a` (integer input is converted to float32)."""
+def _readonly(a, name: str) -> np.ndarray:
+    """A read-only view of `a`, which must be finite (integer input becomes float32)."""
     arr = np.asarray(a)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float32)
-    if check_finite and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite values")
     arr = arr.view()
     arr.setflags(write=False)
@@ -59,13 +57,11 @@ class ConvParams:
 
     kernels: np.ndarray
     bias: np.ndarray
-    assume_finite: InitVar[bool] = False
     kmat: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, assume_finite):
-        check = not assume_finite
-        object.__setattr__(self, "kernels", _readonly(self.kernels, "kernels", check))
-        object.__setattr__(self, "bias", _readonly(self.bias, "bias", check))
+    def __post_init__(self):
+        object.__setattr__(self, "kernels", _readonly(self.kernels, "kernels"))
+        object.__setattr__(self, "bias", _readonly(self.bias, "bias"))
         if self.kernels.ndim != 4:
             raise ShapeError(f"kernels must be 4-D, got shape {self.kernels.shape}")
         out_ch, _, kh, kw = self.kernels.shape
@@ -100,13 +96,12 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     epsilon: float = 1e-5
-    assume_finite: InitVar[bool] = False
     scale: np.ndarray = field(init=False, repr=False, compare=False)
     shift: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, assume_finite):
+    def __post_init__(self):
         for name in ("gamma", "beta", "running_mean", "running_var"):
-            object.__setattr__(self, name, _readonly(getattr(self, name), name, not assume_finite))
+            object.__setattr__(self, name, _readonly(getattr(self, name), name))
         c = self.gamma.shape
         if len(c) != 1:
             raise ShapeError("batch-norm parameters must be 1-D per-channel vectors")
@@ -133,17 +128,13 @@ class DenseParams:
     """Weights ``[out_units, in_units]`` and bias ``[out_units]``."""
 
     weights: np.ndarray
-    bias: np.ndarray = field(default=None)  # type: ignore[assignment]
-    assume_finite: InitVar[bool] = False
+    bias: np.ndarray
 
-    def __post_init__(self, assume_finite):
-        check = not assume_finite
-        object.__setattr__(self, "weights", _readonly(self.weights, "weights", check))
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _readonly(self.weights, "weights"))
+        object.__setattr__(self, "bias", _readonly(self.bias, "bias"))
         if self.weights.ndim != 2:
             raise ShapeError(f"weights must be 2-D, got shape {self.weights.shape}")
-        bias = (np.zeros(self.weights.shape[0], self.weights.dtype) if self.bias is None
-                else self.bias)
-        object.__setattr__(self, "bias", _readonly(bias, "bias", check))
         if self.bias.shape != (self.weights.shape[0],):
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match weights {self.weights.shape}"
@@ -160,14 +151,13 @@ class DenseParams:
 
 def _check_maps(x: np.ndarray, op: str) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"{op} expects a [C, H, W] map or a [B, C, H, W] batch, "
-                         f"got shape {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"{op} expects a [B, C, H, W] batch of maps, got shape {x.shape}")
     return x
 
 
 def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Stride-1 'same' 2-D convolution: ``[(B,) C_in, H, W] -> [(B,) C_out, H, W]``.
+    """Stride-1 'same' 2-D convolution: ``[B, C_in, H, W] -> [B, C_out, H, W]``.
 
     Zero padding keeps the spatial size; out-of-range taps contribute 0.
     Implemented as im2col + matmul in the promoted dtype of `x` and the
@@ -182,8 +172,7 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """
     x = _check_maps(x, "conv2d_same")
     dtype = np.result_type(x, p.kernels)
-    batch = x if x.ndim == 4 else x[None]
-    b, c, h, w = batch.shape
+    b, c, h, w = x.shape
     if c != p.in_channels:
         raise ShapeError(f"input has {c} channels, kernels expect {p.in_channels}")
     k = p.kernels.shape[2]
@@ -198,7 +187,7 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
         # consecutive values, and those it reads across a row end are zeroed
         flat = np.zeros((c, m * hp * w + 2 * pad), dtype)
         flat[:, pad:pad + m * hp * w].reshape(c, m, hp, w)[:, :, pad:pad + h] = (
-            batch[i:i + m].transpose(1, 0, 2, 3))
+            x[i:i + m].transpose(1, 0, 2, 3))
         s0, s1 = flat.strides
         # [C, k, k, m, H, W]; rebinding `taps` to the view first frees the
         # previous chunk's copy before this one is made
@@ -210,43 +199,29 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
             taps[:, :, dx, :, :, max(0, w + pad - dx):] = 0
         np.matmul(p.kmat, taps.reshape(c * k * k, -1), out=out[:, i * h * w:(i + m) * h * w])
     out += p.bias[:, None]
-    out = out.reshape(p.out_channels, b, h, w).transpose(1, 0, 2, 3)
-    return out if x.ndim == 4 else out[0]
+    return out.reshape(p.out_channels, b, h, w).transpose(1, 0, 2, 3)
 
 
-def _check_out(out: np.ndarray, shape: tuple, dtype, op: str) -> None:
-    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype:
-        raise ShapeError(f"{op}: out must be a {np.dtype(dtype)} array of shape {shape}")
+def batchnorm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
+    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``, written into `x`.
 
-
-def batchnorm_infer(x: np.ndarray, p: BatchNormParams, out: np.ndarray | None = None
-                    ) -> np.ndarray:
-    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``.
-
-    Computed as ``x * scale + shift`` in the promoted dtype of `x` and
-    `gamma`. `out`, numpy-style, receives the result and is returned; it must
-    have the result's shape and dtype and may be `x` itself. The values are
-    those of a call without it.
+    Computed in place as ``x * scale + shift`` in the promoted dtype of `x`
+    and `gamma`, which `x` must already have; `x` is returned.
     """
     x = _check_maps(x, "batchnorm_infer")
-    if x.shape[-3] != p.channels:
-        raise ShapeError(f"input has {x.shape[-3]} channels, batch norm expects {p.channels}")
+    if x.shape[1] != p.channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, batch norm expects {p.channels}")
     dtype = np.result_type(x, p.gamma)
-    if out is None:
-        out = np.empty_like(x, dtype=dtype)  # x's memory layout, as `out=x` has
-    else:
-        _check_out(out, x.shape, dtype, "batchnorm_infer")
-    np.multiply(x, p.scale.astype(dtype, copy=False)[:, None, None], out=out)
-    out += p.shift.astype(dtype, copy=False)[:, None, None]
-    return out
+    if x.dtype != dtype:
+        raise ShapeError(f"batchnorm_infer: a {x.dtype} map cannot hold its {dtype} result")
+    x *= p.scale.astype(dtype, copy=False)[:, None, None]
+    x += p.shift.astype(dtype, copy=False)[:, None, None]
+    return x
 
 
-def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise ``max(x, 0)``; `out` as in `batchnorm_infer`."""
-    x = np.asarray(x)
-    if out is not None:
-        _check_out(out, x.shape, x.dtype, "relu")
-    return np.maximum(x, 0, out=out)
+def relu(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(x, 0)``, written into the array `x`, which is returned."""
+    return np.maximum(x, 0, out=x)
 
 
 def maxpool_2x2(x: np.ndarray) -> np.ndarray:
@@ -263,21 +238,19 @@ def maxpool_2x2(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Spatial mean per channel: ``[(B,) C, H, W] -> [(B,) C]``."""
+    """Spatial mean per channel: ``[B, C, H, W] -> [B, C]``."""
     return _check_maps(x, "global_avg_pool").mean(axis=(-2, -1))
 
 
 def dense(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Affine map ``W @ x + b`` on a ``[K]`` vector or on each row of ``[B, K]``."""
+    """Affine map ``W @ x + b`` on each row of a ``[B, K]`` batch."""
     x = np.asarray(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"dense expects a [K] or [B, K] input, got shape {x.shape}")
-    if x.shape[-1] != p.in_units:
-        raise ShapeError(f"input length {x.shape[-1]} does not match {p.in_units} units")
+    if x.ndim != 2:
+        raise ShapeError(f"dense expects a [B, K] batch, got shape {x.shape}")
+    if x.shape[1] != p.in_units:
+        raise ShapeError(f"input length {x.shape[1]} does not match {p.in_units} units")
     dtype = np.result_type(x, p.weights)
-    x = x.astype(dtype, copy=False)
-    out = (p.weights @ x if x.ndim == 1 else x @ p.weights.T) + p.bias
-    return out.astype(dtype, copy=False)
+    return (x.astype(dtype, copy=False) @ p.weights.T + p.bias).astype(dtype, copy=False)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

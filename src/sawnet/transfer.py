@@ -61,6 +61,10 @@ class EmbeddingSet:
         )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
@@ -74,10 +78,11 @@ class TrainConfig:
         # NaN fails every comparison, so finiteness is checked explicitly
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                   for v in (self.batch_size, self.epochs)):
+        if not all(_is_int(v) and v >= 1 for v in (self.batch_size, self.epochs)):
             raise ConfigError(f"batch_size and epochs must be integers >= 1, "
                               f"got {self.batch_size!r} and {self.epochs!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
             raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
 
@@ -252,17 +257,14 @@ def load_embeddings(path) -> EmbeddingSet:
     clips = header.get("clips")
     dim = header.get("dim")
     num_classes = header.get("num_classes")
-    if not isinstance(clips, dict) or not isinstance(dim, int) or not isinstance(num_classes, int):
+    if not isinstance(clips, dict) or not _is_int(dim) or not _is_int(num_classes):
         raise ValidationError("embedding container must declare clips, dim and num_classes")
     items = []
     for clip_id in sorted(clips):
         meta = clips[clip_id]
         if clip_id not in tensors:
             raise ValidationError(f"clip {clip_id!r} listed in header but has no tensor")
-        items.append(EmbeddingItem(
-            clip_id=clip_id,
-            fold=int(meta["fold"]),
-            label=int(meta["label"]),
-            vector=tensors[clip_id],
-        ))
+        if not (isinstance(meta, dict) and all(_is_int(meta.get(k)) for k in ("fold", "label"))):
+            raise ValidationError(f"clip {clip_id!r}: needs integer fold and label, got {meta!r}")
+        items.append(EmbeddingItem(clip_id, meta["fold"], meta["label"], tensors[clip_id]))
     return EmbeddingSet(items=tuple(items), dim=dim, num_classes=num_classes)

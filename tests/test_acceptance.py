@@ -118,7 +118,7 @@ def test_c04_nn_oracle_equivalence():
             x = rng.normal(0, 1, (in_ch, h, w))
             kernels = rng.normal(0, 1, (out_ch, in_ch, 3, 3))
             bias = rng.normal(0, 1, out_ch)
-            got = nn.conv2d_same(x, nn.ConvParams(kernels, bias))
+            got = nn.conv2d_same(x[None], nn.ConvParams(kernels, bias))[0]
             assert np.abs(got - conv2d_reference(x, kernels, bias)).max() < 1e-6
 
         unfolded = random_bn_stats(

@@ -116,6 +116,16 @@ class TestCorruption:
         with pytest.raises(FormatError):
             bundle.load_bundle(path)
 
+    def test_non_finite_weight_names_its_layer(self, tmp_path):
+        path = self._valid_file(tmp_path)
+        header, tensors = bundle.read_container(path)
+        for key in ("conv1/bias", "bn2/gamma", "head/weights"):
+            bad = tensors[key].copy()
+            bad.flat[0] = np.inf
+            bundle.write_container(path, header, {**tensors, key: bad})
+            with pytest.raises(ValidationError, match=f"layer {key.split('/')[0]}: .*non-finite"):
+                bundle.load_bundle(path)
+
     def test_garbage_header_json(self, tmp_path):
         blob = b"{not json"
         data = b"CSNW" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob
@@ -213,9 +223,9 @@ def _cast_per_call_forward(spec, tensors, epsilon, x, stop_after=None):
             shift = t["beta"].astype(np.float64) - t["mean"].astype(np.float64) * scale
             x = x * scale[:, None, None] + shift[:, None, None]
         elif layer.kind == "maxpool":
-            x = nn.maxpool_2x2(x)
+            x = nn.maxpool_2x2(x[None])[0]
         elif layer.kind == "global_avg_pool":
-            x = nn.global_avg_pool(x)
+            x = nn.global_avg_pool(x[None])[0]
         elif layer.kind == "dense":
             x = t["weights"].astype(np.float64) @ x + t["bias"].astype(np.float64)
         if layer.relu:
@@ -264,10 +274,10 @@ class TestPreparedWeights:
         for seed in (1, 2):
             x = random_patch(seed)[None]
             logits = _cast_per_call_forward(spec, stored, loaded.epsilon, x)
-            assert np.array_equal(models.run_layers(loaded, x), logits)
+            assert np.array_equal(models.run_layers(loaded, x[None])[0], logits)
             emb = _cast_per_call_forward(spec, stored, loaded.epsilon, x, spec.embedding_layer)
             if emb.ndim == 3:
-                emb = nn.global_avg_pool(emb)
+                emb = nn.global_avg_pool(emb[None])[0]
             assert np.array_equal(models.forward_embedding(loaded, x)[0], emb)
 
 

@@ -414,6 +414,25 @@ class TestTrainAndCV:
                         p.read_text()) for p in paths]
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("meta", [5, {"fold": "x", "label": 0}])
+    def test_malformed_clip_metadata_exits_2(self, tmp_path, meta):
+        cache = tmp_path / "cache.csnw"
+        write_container(cache, {"kind": "embeddings", "dim": 2, "num_classes": 2,
+                                "clips": {"a": meta}}, {"a": np.zeros(2)})
+        out = tmp_path / "out.csnw"
+        for command in ("train-head", "eval-cv"):
+            result = run_cli(command, "--embeddings", cache, "--out", out)
+            assert result.returncode == 2
+            assert "ValidationError: clip 'a'" in result.stderr and not result.stdout
+            assert sorted(tmp_path.iterdir()) == [cache]
+
+    def test_negative_seed_exits_2(self, tmp_path, cache_path):
+        out = tmp_path / "report.json"
+        result = run_cli("eval-cv", "--embeddings", cache_path, "--out", out, "--seed", "-1")
+        assert result.returncode == 2
+        assert "ConfigError: seed" in result.stderr and not result.stdout
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_fold_exits_2(self, tmp_path, cache_path):
         eset = transfer.load_embeddings(cache_path)
         partial = eset.subset(lambda i: i.fold != 5)

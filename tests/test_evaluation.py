@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,7 +113,28 @@ class TestPRCurve:
         assert recalls[-1] == 1.0
 
 
+def _make_event_scanning_the_clip(clip_id, start, last, by_second):
+    """The earlier peak rule: a scan of every scored second of the clip."""
+    peak = max(p for s, p in by_second.items() if start <= s <= last)
+    return evaluation.DetectionEvent(clip_id=clip_id, start_s=start, end_s=last + 1,
+                                     peak_probability=peak)
+
+
+# one clip's scores: ascending seconds, with gaps and repeats
+_CLIP_SCORES = st.lists(st.tuples(st.integers(0, 40), st.floats(0, 1)), max_size=40).map(
+    lambda pairs: sorted(pairs, key=lambda pair: pair[0]))
+
+
 class TestMergeEvents:
+    @given(_CLIP_SCORES, _CLIP_SCORES, st.floats(0.05, 0.95), st.integers(0, 5))
+    @settings(max_examples=150)
+    def test_events_equal_clip_scan_rule(self, a, b, threshold, max_gap_s):
+        scores = [SecondScore(clip_id, s, p) for clip_id, pairs in (("a", a), ("b", b))
+                  for s, p in pairs]
+        got = merge_events(scores, threshold, max_gap_s)
+        with mock.patch.object(evaluation, "_make_event", _make_event_scanning_the_clip):
+            assert got == merge_events(scores, threshold, max_gap_s)
+
     def test_single_run(self):
         events = merge_events(scores_from([0.9] * 5), threshold=0.5, max_gap_s=0)
         assert len(events) == 1

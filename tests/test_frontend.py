@@ -200,7 +200,7 @@ class TestLogMelSpectrogram:
             frontend.log_mel_spectrogram(frontend.AudioClip(np.zeros(399, np.float32), 16000))
 
     def test_wrong_rate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="16000 Hz"):
             frontend.log_mel_spectrogram(frontend.AudioClip(np.zeros(8000, np.float32), 8000))
 
     def test_pipeline_deterministic(self):

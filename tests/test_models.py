@@ -95,9 +95,9 @@ class TestForward:
 
     def test_fcn_accepts_variable_frame_counts(self, fcn_bundle_small):
         for frames in (32, 96, 192):
-            x = np.random.default_rng(frames).normal(0, 1, (1, frames, 64))
+            x = np.random.default_rng(frames).normal(0, 1, (1, 1, frames, 64))
             out = models.run_layers(fcn_bundle_small, x)
-            assert out.shape == (3,)
+            assert out.shape == (1, 3)
 
 
 class TestEmbeddings:
@@ -235,10 +235,10 @@ class TestForwardBatch:
         embeddings = models.forward_batch(bundle, patches, stop_after=emb)
         assert logits.shape == (len(patches), bundle.spec.num_classes)
         for i, patch in enumerate(patches):
-            x = patch[None]
-            np.testing.assert_allclose(logits[i], models.run_layers(bundle, x),
+            x = patch[None, None]
+            np.testing.assert_allclose(logits[i], models.run_layers(bundle, x)[0],
                                        rtol=0, atol=1e-9)
-            np.testing.assert_allclose(embeddings[i], models.run_layers(bundle, x, emb),
+            np.testing.assert_allclose(embeddings[i], models.run_layers(bundle, x, emb)[0],
                                        rtol=0, atol=1e-9)
         # the whole list in one run_layers call, whatever batch_size says
         np.testing.assert_allclose(models.run_layers(bundle, patches[:, None]), logits,
@@ -333,8 +333,14 @@ class TestForwardBatch:
         patches = random_patches(range(4))
         emb = bundle.spec.embedding_layer
         in_place = [models.forward_batch(bundle, patches, stop_after=s) for s in (None, emb)]
-        for op in ("batchnorm_infer", "relu"):
-            monkeypatch.setattr(nn, op, lambda *args, _op=getattr(nn, op), out=None: _op(*args))
+
+        def batchnorm_into_new_array(x, p):
+            dtype = np.result_type(x, p.gamma)
+            return (x * p.scale.astype(dtype)[:, None, None]
+                    + p.shift.astype(dtype)[:, None, None])
+
+        monkeypatch.setattr(nn, "batchnorm_infer", batchnorm_into_new_array)
+        monkeypatch.setattr(nn, "relu", lambda x: np.maximum(x, 0))
         for got, stop in zip(in_place, (None, emb)):
             np.testing.assert_array_equal(got, models.forward_batch(bundle, patches, stop))
 
@@ -380,8 +386,8 @@ class TestFloat32Forward:
             lambda b: models.forward_batch(b, patches),
             lambda b: models.forward_batch(b, patches, stop_after=emb),
             lambda b: models.forward_embedding(b, patches),
-            lambda b: models.run_layers(b, patches[0][None]),
-            lambda b: models.run_layers(b, patches[0][None], emb),
+            lambda b: models.run_layers(b, patches[:1, None]),
+            lambda b: models.run_layers(b, patches[:1, None], emb),
         ]
         results = [(output(b32), output(b64)) for output in outputs]
         for got, want in results:
@@ -401,7 +407,7 @@ class TestFloat32Forward:
     def test_input_rounded_once_at_entry(self, aug_bundle_small):
         # a float64 patch and its float32 rounding (what a feature container
         # stores) give the same float32 forward
-        x = random_patch(7)[None]
+        x = random_patch(7)[None, None]
         np.testing.assert_array_equal(models.run_layers(aug_bundle_small, x),
                                       models.run_layers(aug_bundle_small, x.astype(np.float32)))
 
@@ -443,11 +449,15 @@ class TestBundleDtype:
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("key", ["conv2/kernels", "bn3/var", "fc1/bias"])
     def test_validation_rejects(self, key):
+        # the layer's params object scans the tensor (BN's "var" is its
+        # running_var) and validation names the layer
         bundle = models.init_bundle(models.build_aug_vggish(2), init="zeros")
         bad = np.array(bundle.params[key], dtype=np.float32)
         bad.flat[0] = np.nan
         bundle.params[key] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
+        layer, suffix = key.split("/")
+        name = "running_var" if suffix == "var" else suffix
+        with pytest.raises(ValidationError, match=f"layer {layer}: {name} contains non-finite"):
             bundle.validate()
 
 
@@ -493,9 +503,9 @@ class TestLayerKindTable:
     def test_fcn_needs_32_rows_and_columns(self, fcn_bundle_small):
         rng = np.random.default_rng(4)
         for h, w in ((32, 32), (31, 64), (96, 31)):
-            x = rng.normal(0, 1, (1, h, w))
+            x = rng.normal(0, 1, (1, 1, h, w))
             if min(h, w) >= 32:
-                assert models.run_layers(fcn_bundle_small, x).shape == (3,)
+                assert models.run_layers(fcn_bundle_small, x).shape == (1, 3)
                 continue
             assert models.run_layers(fcn_bundle_small, x, "pool4").shape[-2:] == (h // 16, w // 16)
             with pytest.raises(nn.ShapeError, match="maxpool_2x2"):

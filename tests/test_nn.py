@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sawnet import nn
-from sawnet.errors import ShapeError
+from sawnet import models, nn
+from sawnet.errors import ShapeError, ValidationError
 
 
 def conv2d_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -47,7 +47,7 @@ class TestConv2dSame:
             x = rng.normal(0, 1, (in_ch, h, w))
             kernels = rng.normal(0, 1, (out_ch, in_ch, k, k))
             bias = rng.normal(0, 1, out_ch)
-            got = nn.conv2d_same(x, nn.ConvParams(kernels, bias))
+            got = nn.conv2d_same(x[None], nn.ConvParams(kernels, bias))[0]
             want = conv2d_reference(x, kernels, bias)
             assert np.abs(got - want).max() < 1e-6
 
@@ -57,33 +57,33 @@ class TestConv2dSame:
         kernels = np.zeros((2, 2, 3, 3))
         kernels[0, 0, 1, 1] = 1.0
         kernels[1, 1, 1, 1] = 1.0
-        out = nn.conv2d_same(x, nn.ConvParams(kernels, np.zeros(2)))
+        out = nn.conv2d_same(x[None], nn.ConvParams(kernels, np.zeros(2)))[0]
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_all_ones_edge_counts(self):
         # 3x3 ones against 3x3 ones: in-range tap counts are 9/6/4
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         out = nn.conv2d_same(x, nn.ConvParams(np.ones((1, 1, 3, 3)), np.zeros(1)))
-        np.testing.assert_array_equal(out[0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
+        np.testing.assert_array_equal(out[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_zero_kernels_give_constant_bias(self):
-        x = np.random.default_rng(1).normal(0, 1, (3, 4, 4))
-        out = nn.conv2d_same(x, nn.ConvParams(np.zeros((2, 3, 3, 3)), np.array([1.5, -2.0])))
+        x = np.random.default_rng(1).normal(0, 1, (1, 3, 4, 4))
+        out = nn.conv2d_same(x, nn.ConvParams(np.zeros((2, 3, 3, 3)), np.array([1.5, -2.0])))[0]
         assert np.all(out[0] == 1.5) and np.all(out[1] == -2.0)
 
     def test_channel_mismatch_raises(self):
         params = nn.ConvParams(np.zeros((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError):
-            nn.conv2d_same(np.zeros((3, 4, 4)), params)
+            nn.conv2d_same(np.zeros((1, 3, 4, 4)), params)
 
     def test_float32_inputs_stay_float32(self):
-        x = np.ones((1, 4, 4), dtype=np.float32)
+        x = np.ones((1, 1, 4, 4), dtype=np.float32)
         params = nn.ConvParams(np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))
         assert nn.conv2d_same(x, params).dtype == np.float32
 
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(0, 1, (3, 6, 6)).astype(np.float32)
+        x = rng.normal(0, 1, (1, 3, 6, 6)).astype(np.float32)
         params = nn.ConvParams(rng.normal(0, 1, (4, 3, 3, 3)).astype(np.float32),
                                rng.normal(0, 1, 4).astype(np.float32))
         assert np.array_equal(nn.conv2d_same(x, params), nn.conv2d_same(x, params))
@@ -91,20 +91,20 @@ class TestConv2dSame:
 
 class TestBatchNormInfer:
     def test_identity_parameters(self):
-        x = np.random.default_rng(2).normal(0, 1, (2, 3, 3))
+        x = np.random.default_rng(2).normal(0, 1, (1, 2, 3, 3))
         params = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2),
                                     epsilon=1e-12)
-        np.testing.assert_allclose(nn.batchnorm_infer(x, params), x, atol=1e-9)
+        np.testing.assert_allclose(nn.batchnorm_infer(x.copy(), params), x, atol=1e-9)
 
     def test_worked_example(self):
         # 3 * (2 - 1) / sqrt(4) + 1 = 2.5
-        x = np.full((1, 1, 1), 2.0)
+        x = np.full((1, 1, 1, 1), 2.0)
         params = nn.BatchNormParams(np.array([3.0]), np.array([1.0]), np.array([1.0]),
                                     np.array([4.0]), epsilon=1e-12)
-        assert abs(nn.batchnorm_infer(x, params)[0, 0, 0] - 2.5) < 1e-9
+        assert abs(nn.batchnorm_infer(x, params)[0, 0, 0, 0] - 2.5) < 1e-9
 
     def test_zero_gamma_gives_constant_beta(self):
-        x = np.random.default_rng(3).normal(0, 5, (1, 4, 4))
+        x = np.random.default_rng(3).normal(0, 5, (1, 1, 4, 4))
         params = nn.BatchNormParams(np.zeros(1), np.array([7.0]), np.array([2.0]),
                                     np.array([3.0]))
         assert np.all(nn.batchnorm_infer(x, params) == 7.0)
@@ -121,7 +121,7 @@ class TestBatchNormInfer:
     def test_channel_mismatch_raises(self):
         params = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         with pytest.raises(ShapeError):
-            nn.batchnorm_infer(np.zeros((3, 2, 2)), params)
+            nn.batchnorm_infer(np.zeros((1, 3, 2, 2)), params)
 
 
 class TestRelu:
@@ -130,16 +130,16 @@ class TestRelu:
 
     def test_identity_on_nonnegative(self):
         x = np.abs(np.random.default_rng(4).normal(0, 1, (3, 3)))
-        np.testing.assert_array_equal(nn.relu(x), x)
+        np.testing.assert_array_equal(nn.relu(x.copy()), x)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64))
     def test_idempotent(self, values):
-        x = np.array(values)
-        np.testing.assert_array_equal(nn.relu(nn.relu(x)), nn.relu(x))
+        once = nn.relu(np.array(values))
+        np.testing.assert_array_equal(nn.relu(once.copy()), once)
 
 
 class TestInPlace:
-    """`out=` gives the values and dtype of a call without it, and may be the input."""
+    """Batch norm and ReLU write their result into their input and return it."""
 
     @staticmethod
     def bn_params(dtype):
@@ -150,94 +150,86 @@ class TestInPlace:
     def test_batchnorm_into_its_input(self, dtype):
         x = np.random.default_rng(71).normal(0, 2, (2, 3, 4, 5)).astype(dtype)
         params = self.bn_params(dtype)
-        want = nn.batchnorm_infer(x, params)
-        got = nn.batchnorm_infer(x, params, out=x)
-        assert got is x and got.dtype == want.dtype == dtype
+        scale = params.scale.astype(dtype)[:, None, None]
+        shift = params.shift.astype(dtype)[:, None, None]
+        want = x * scale + shift
+        got = nn.batchnorm_infer(x, params)
+        assert got is x and got.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
-    def test_batchnorm_float32_map_into_float64_buffer(self):
-        x = np.random.default_rng(72).normal(0, 2, (3, 4, 5)).astype(np.float32)
-        params = self.bn_params(np.float64)
-        want = nn.batchnorm_infer(x, params)
-        out = np.empty(x.shape)
-        assert nn.batchnorm_infer(x, params, out=out) is out
-        np.testing.assert_array_equal(out, want)
-        with pytest.raises(ShapeError, match="out must be a float64"):
-            nn.batchnorm_infer(x, params, out=x)  # would round the float64 result
+    def test_float32_map_with_float64_params_rejected(self):
+        x = np.random.default_rng(72).normal(0, 2, (1, 3, 4, 5)).astype(np.float32)
+        before = x.copy()
+        with pytest.raises(ShapeError, match="float32 map cannot hold its float64 result"):
+            nn.batchnorm_infer(x, self.bn_params(np.float64))
+        np.testing.assert_array_equal(x, before)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_relu_into_its_input(self, dtype):
         x = np.random.default_rng(73).normal(0, 1, (2, 3, 4, 5)).astype(dtype)
-        want = nn.relu(x)
-        got = nn.relu(x, out=x)
-        assert got is x and got.dtype == want.dtype
+        want = np.where(x > 0, x, 0).astype(dtype)
+        got = nn.relu(x)
+        assert got is x and got.dtype == dtype
         np.testing.assert_array_equal(got, want)
-
-    def test_wrong_shape_rejected(self):
-        x = np.zeros((1, 3, 4, 5))
-        with pytest.raises(ShapeError):
-            nn.relu(x, out=np.zeros((3, 4, 5)))
-        with pytest.raises(ShapeError):
-            nn.batchnorm_infer(x, self.bn_params(np.float64), out=np.zeros((1, 3, 4, 4)))
 
 
 class TestMaxPool:
     def test_single_block(self):
-        out = nn.maxpool_2x2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        np.testing.assert_array_equal(out, [[[4.0]]])
+        out = nn.maxpool_2x2(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        np.testing.assert_array_equal(out, [[[[4.0]]]])
 
     def test_constant_input(self):
-        out = nn.maxpool_2x2(np.full((2, 4, 6), 3.25))
-        assert out.shape == (2, 2, 3) and np.all(out == 3.25)
+        out = nn.maxpool_2x2(np.full((1, 2, 4, 6), 3.25))
+        assert out.shape == (1, 2, 2, 3) and np.all(out == 3.25)
 
     def test_odd_tail_dropped(self):
-        x = np.arange(25, dtype=np.float64).reshape(1, 5, 5)
+        x = np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5)
         out = nn.maxpool_2x2(x)
-        assert out.shape == (1, 2, 2)
-        np.testing.assert_array_equal(out[0], [[6, 8], [16, 18]])
+        assert out.shape == (1, 1, 2, 2)
+        np.testing.assert_array_equal(out[0, 0], [[6, 8], [16, 18]])
 
     def test_too_small_raises(self):
         with pytest.raises(ShapeError):
-            nn.maxpool_2x2(np.zeros((1, 1, 5)))
+            nn.maxpool_2x2(np.zeros((1, 1, 1, 5)))
 
 
 class TestGlobalAvgPool:
     def test_constant_channel(self):
-        out = nn.global_avg_pool(np.full((3, 5, 7), -1.5))
-        np.testing.assert_allclose(out, [-1.5, -1.5, -1.5])
+        out = nn.global_avg_pool(np.full((1, 3, 5, 7), -1.5))
+        np.testing.assert_allclose(out, [[-1.5, -1.5, -1.5]])
 
     def test_worked_mean(self):
-        out = nn.global_avg_pool(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert out[0] == 2.5
+        out = nn.global_avg_pool(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        assert out[0, 0] == 2.5
 
     def test_spatial_permutation_invariant(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(0, 1, (2, 4, 4))
-        flat = x.reshape(2, -1)
+        x = rng.normal(0, 1, (1, 2, 4, 4))
+        flat = x.reshape(1, 2, -1)
         perm = rng.permutation(16)
-        shuffled = flat[:, perm].reshape(2, 4, 4)
+        shuffled = flat[..., perm].reshape(1, 2, 4, 4)
         np.testing.assert_allclose(nn.global_avg_pool(x), nn.global_avg_pool(shuffled),
                                    rtol=1e-12)
 
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         params = nn.DenseParams(np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(nn.dense(x, params), x)
 
     def test_dot_product(self):
-        out = nn.dense(np.array([2.0, 3.0]), nn.DenseParams(np.array([[1.0, 1.0]]),
-                                                            np.array([1.0])))
-        np.testing.assert_array_equal(out, [6.0])
+        out = nn.dense(np.array([[2.0, 3.0]]), nn.DenseParams(np.array([[1.0, 1.0]]),
+                                                              np.array([1.0])))
+        np.testing.assert_array_equal(out, [[6.0]])
 
     def test_zero_weights_give_bias(self):
-        out = nn.dense(np.ones(4), nn.DenseParams(np.zeros((2, 4)), np.array([5.0, -5.0])))
-        np.testing.assert_array_equal(out, [5.0, -5.0])
+        out = nn.dense(np.ones((1, 4)), nn.DenseParams(np.zeros((2, 4)), np.array([5.0, -5.0])))
+        np.testing.assert_array_equal(out, [[5.0, -5.0]])
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.dense(np.zeros(3), nn.DenseParams(np.zeros((2, 4)), np.zeros(2)))
+            nn.dense(np.zeros((1, 3)), nn.DenseParams(np.zeros((2, 4)), np.zeros(2)))
 
 
 class TestSoftmax:
@@ -279,13 +271,14 @@ class TestLogSoftmax:
 
 
 class TestBatchedOperators:
-    """A [B, ...] batch gives per item what one call per [C, H, W] map or [K] vector gives."""
+    """A [B, ...] batch gives per item what a batch of one gives. Every call gets
+    its own copy, since batch norm and ReLU overwrite their input."""
 
     B = 5
 
     @staticmethod
     def per_item(op, batch):
-        return np.stack([op(item) for item in batch])
+        return np.stack([op(item[None].copy())[0] for item in batch])
 
     @pytest.mark.parametrize("out_ch", [4, 64])  # one item per product at both sizes
     def test_conv2d_same(self, out_ch):
@@ -307,13 +300,13 @@ class TestBatchedOperators:
         params = nn.BatchNormParams(rng.uniform(0.5, 1.5, 3), rng.normal(0, 1, 3),
                                     rng.normal(0, 1, 3), rng.uniform(0.2, 2.0, 3))
         np.testing.assert_array_equal(
-            nn.batchnorm_infer(x, params),
+            nn.batchnorm_infer(x.copy(), params),
             self.per_item(lambda m: nn.batchnorm_infer(m, params), x))
 
     @pytest.mark.parametrize("op", [nn.relu, nn.maxpool_2x2, nn.global_avg_pool])
     def test_parameterless_map_operators(self, op):
         x = np.random.default_rng(62).normal(0, 1, (self.B, 3, 6, 5))
-        np.testing.assert_array_equal(op(x), self.per_item(op, x))
+        np.testing.assert_array_equal(op(x.copy()), self.per_item(op, x))
 
     def test_dense(self):
         rng = np.random.default_rng(63)
@@ -325,7 +318,7 @@ class TestBatchedOperators:
 
     def test_softmax(self):
         z = np.random.default_rng(64).normal(0, 10, (self.B, 6))
-        np.testing.assert_array_equal(nn.softmax(z), self.per_item(nn.softmax, z))
+        np.testing.assert_array_equal(nn.softmax(z), np.stack([nn.softmax(r) for r in z]))
 
     @pytest.mark.parametrize("op", [nn.batchnorm_infer, nn.maxpool_2x2, nn.global_avg_pool])
     def test_other_ranks_rejected(self, op):
@@ -334,6 +327,19 @@ class TestBatchedOperators:
         for shape in ((2, 4), (1, 1, 2, 4, 4)):
             with pytest.raises(ShapeError):
                 op(np.zeros(shape), *args)
+
+    def test_single_item_ranks_rejected(self, aug_bundle_small):
+        # a lone [C, H, W] map or [K] vector is no longer read as a batch of one
+        conv = nn.ConvParams(np.zeros((2, 2, 3, 3)), np.zeros(2))
+        bn = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+        for op in (lambda m: nn.conv2d_same(m, conv), lambda m: nn.batchnorm_infer(m, bn),
+                   nn.maxpool_2x2, nn.global_avg_pool):
+            with pytest.raises(ShapeError, match=r"\[B, C, H, W\]"):
+                op(np.zeros((2, 4, 4)))
+        with pytest.raises(ShapeError, match=r"\[B, K\]"):
+            nn.dense(np.zeros(2), nn.DenseParams(np.zeros((3, 2)), np.zeros(3)))
+        with pytest.raises(ValidationError, match=r"\[B, C, H, W\]"):
+            models.run_layers(aug_bundle_small, np.zeros((1, 96, 64)))
 
 
 def _reshape_max_pool(x):
@@ -361,10 +367,9 @@ class TestChannelMajorLayout:
         return nn.ConvParams(rng.normal(0, 1, (out_ch, in_ch, 3, 3)), rng.normal(0, 1, out_ch))
 
     def test_single_item_output_is_c_contiguous(self):
-        x = np.random.default_rng(71).normal(0, 1, (3, 5, 6))
-        p = self.params(4, 3)
-        for out in (nn.conv2d_same(x, p), nn.conv2d_same(x[None], p)[0]):
-            assert out.shape == (4, 5, 6) and out.flags.c_contiguous
+        x = np.random.default_rng(71).normal(0, 1, (1, 3, 5, 6))
+        out = nn.conv2d_same(x, self.params(4, 3))
+        assert out.shape == (1, 4, 5, 6) and out.flags.c_contiguous
 
     def test_batch_output_is_a_view_of_channel_major_memory(self):
         x = np.random.default_rng(72).normal(0, 1, (3, 2, 5, 6))
@@ -382,37 +387,34 @@ class TestChannelMajorLayout:
                                           second.kernels, second.bias) for m in x])
         assert np.abs(got - want).max() < 1e-9
 
-    @given(st.integers(0, 4), st.integers(1, 3), st.sampled_from([1, 3, 40]),
+    @given(st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 3, 40]),
            st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3, 5, 7]),
            st.sampled_from(sorted(_LAYOUTS)), st.integers(0, 2**32 - 1))
     @example(2, 1, 3, 3, 2, 7, "c-contiguous", 0)
     @settings(max_examples=60, deadline=None)
     def test_conv_matches_bruteforce_property(self, b, in_ch, out_ch, h, w, k, layout, seed):
-        # b == 0 is an unbatched map; 40 output channels make small maps share
-        # a product, and 5x5 and 7x7 kernels reach past maps narrower than their border
+        # 40 output channels make small maps share a product, and 5x5 and 7x7
+        # kernels reach past maps narrower than their border
         rng = np.random.default_rng(seed)
-        x = _LAYOUTS[layout](rng.normal(0, 1, (max(b, 1), in_ch, h, w)))
+        x = _LAYOUTS[layout](rng.normal(0, 1, (b, in_ch, h, w)))
         kernels = rng.normal(0, 1, (out_ch, in_ch, k, k))
         bias = rng.normal(0, 1, out_ch)
-        got = nn.conv2d_same(x if b else x[0], nn.ConvParams(kernels, bias))
+        got = nn.conv2d_same(x, nn.ConvParams(kernels, bias))
         want = np.stack([conv2d_reference(m, kernels, bias) for m in x])
-        assert np.abs((got if b else got[None]) - want).max() < 1e-9
+        assert np.abs(got - want).max() < 1e-9
 
     def test_pool_keeps_channel_major_order(self):
         x = nn.conv2d_same(np.random.default_rng(77).normal(0, 1, (2, 3, 6, 4)),
                            self.params(4, 3))
         assert nn.maxpool_2x2(x).transpose(1, 0, 2, 3).flags.c_contiguous
 
-    @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 4), st.integers(1, 3),
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 4), st.integers(1, 3),
            st.sampled_from([np.float32, np.float64]), st.sampled_from(sorted(_LAYOUTS)),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_maxpool_equals_reshape_max(self, h, w, b, c, dtype, layout, seed):
-        # b == 0 is an unbatched [C, H, W] map
-        x = np.random.default_rng(seed).normal(0, 1, (max(b, 1), c, h, w)).astype(dtype)
+        x = np.random.default_rng(seed).normal(0, 1, (b, c, h, w)).astype(dtype)
         x = _LAYOUTS[layout](x)
-        if b == 0:
-            x = x[0]
         got = nn.maxpool_2x2(x)
         assert got.dtype == dtype
         assert np.array_equal(got, _reshape_max_pool(x))

@@ -127,6 +127,11 @@ class TestTrainHead:
         with pytest.raises(ConfigError, match=field):
             transfer.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [-1, 2.0, True, "4", None])
+    def test_negative_or_non_integer_seed_rejected(self, value):
+        with pytest.raises(ConfigError, match="seed"):
+            transfer.TrainConfig(seed=value)
+
     def test_numpy_integer_counts_accepted(self):
         cfg = transfer.TrainConfig(batch_size=np.int64(4), epochs=np.int32(2))
         assert (cfg.batch_size, cfg.epochs) == (4, 2)
@@ -361,6 +366,17 @@ class TestEmbeddingCache:
         write_container(path, {"kind": "embeddings", "dim": 2, "num_classes": 2,
                                "clips": {"a": {"fold": 1, "label": 0}}}, {})
         with pytest.raises(ValidationError):
+            transfer.load_embeddings(path)
+
+    @pytest.mark.parametrize("meta", [5, [1, 0], {"fold": "x", "label": 0},
+                                      {"fold": 1, "label": 1.5}, {"fold": 1}])
+    def test_malformed_clip_metadata_rejected(self, tmp_path, meta):
+        from sawnet.bundle import write_container
+
+        path = tmp_path / "broken.csnw"
+        write_container(path, {"kind": "embeddings", "dim": 2, "num_classes": 2,
+                               "clips": {"a": meta}}, {"a": np.zeros(2)})
+        with pytest.raises(ValidationError, match="clip 'a'"):
             transfer.load_embeddings(path)
 
     def test_dimension_mismatch_rejected(self):
