@@ -10,8 +10,8 @@ File outputs are accompanied by a run manifest (command, resolved config,
 tool version, input digests, for `featurize`, `infer` and `detect` the counts
 of input files processed and failed, and for `infer` and `detect` the
 `compute_dtype` the network ran in) with the timestamp isolated in one field
-so repeated runs are byte-comparable. `detect` reads WAV inputs in
-blocks, so its memory does not grow with the recording's length.
+so repeated runs are byte-comparable. WAV inputs are read a block at a time:
+memory grows with a recording's length only by the frames `featurize` writes.
 """
 
 from __future__ import annotations
@@ -29,14 +29,16 @@ from . import __version__
 from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_container
 from .errors import SawnetError
 from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
-from .frontend import extract_patches, log_mel_spectrogram, resample_to_16k
-from .models import WeightBundle, count_params, describe_layer, forward_batch
+from .frontend import (LogMelSpectrogram, extract_patches, log_mel_blocks, patch_blocks,
+                       resampled_length)
+from .models import WeightBundle, batch_size, count_params, describe_layer, forward_batch
 from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
-from .wavio import WavReader, decode_wav
+from .wavio import WavReader
 
 _USAGE_EXIT = 64
 _DATA_EXIT = 2
+_FEATURIZE_FRAMES = 1000  # log-mel frames per block `featurize` computes: 10 s of audio
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,17 +120,6 @@ def _is_wav(path: Path) -> bool:
         return fh.read(4) == b"RIFF"
 
 
-def _load_spectrogram_any(path: Path):
-    """Load a spectrogram from either a WAV file or a feature container."""
-    if _is_wav(path):
-        clip = resample_to_16k(decode_wav(path.read_bytes(), source_id=path.stem))
-        return log_mel_spectrogram(clip)
-    spec = load_spectrogram(path)
-    if not spec.source_id:
-        spec.source_id = path.stem
-    return spec
-
-
 def _report_failure(command: str, path: Path, error: Exception) -> None:
     print(f"{command}: {path}: {type(error).__name__}: {error}", file=sys.stderr)
 
@@ -142,10 +133,14 @@ def cmd_featurize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     outputs = []
+    dtype = np.float64 if args.format == "csv" else np.float32  # as the frames are written
     for path in inputs:
         try:
-            clip = resample_to_16k(decode_wav(path.read_bytes(), source_id=path.stem))
-            spec = log_mel_spectrogram(clip)
+            with WavReader(path, source_id=path.stem) as wav:
+                frames = np.concatenate([block.astype(dtype, copy=False)
+                                         for block in log_mel_blocks(wav, _FEATURIZE_FRAMES)])
+                spec = LogMelSpectrogram(frames, wav.source_id,
+                                         resampled_length(wav.num_samples, wav.sample_rate))
         except (SawnetError, OSError) as e:
             _report_failure("featurize", path, e)
             failures += 1
@@ -197,15 +192,23 @@ def cmd_infer(args) -> int:
     failures = 0
     for path in inputs:
         try:
-            spec = _load_spectrogram_any(path)
-            probs = np.mean(softmax(forward_batch(bundle, extract_patches(spec))), axis=0)
+            if _is_wav(path):
+                clip_id = path.stem
+                with WavReader(path) as wav:
+                    per_patch = [softmax(forward_batch(bundle, patches))
+                                 for patches in patch_blocks(wav, batch_size(bundle))]
+            else:
+                spec = load_spectrogram(path)
+                clip_id = spec.source_id or path.stem
+                per_patch = [softmax(forward_batch(bundle, extract_patches(spec)))]
+            probs = np.concatenate(per_patch).mean(axis=0)
         except (SawnetError, OSError) as e:
             _report_failure("infer", path, e)
             failures += 1
             continue
         formatted = ", ".join(f"{p:.6f}" for p in probs)
         lines.append(
-            f'{{"clip_id": {json.dumps(spec.source_id)}, '
+            f'{{"clip_id": {json.dumps(clip_id)}, '
             f'"predicted": {int(np.argmax(probs))}, "probs": [{formatted}]}}'
         )
     _emit_lines(lines, args.out)

@@ -11,32 +11,26 @@ clip's log-mel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TooShort, UndefinedMetric
 from .frontend import (
-    FRAME_HOP,
-    FRAME_LEN,
-    PATCH_FRAMES,
     SAMPLE_RATE,
-    AudioClip,
     AudioSource,
     LogMelSpectrogram,
     extract_patches,
-    log_mel_spectrogram,
-    resample_to_16k,
+    patch_blocks,
     resampled_length,
 )
 from .models import WeightBundle, batch_size, forward_batch
 from .nn import softmax
 
 FRAMES_PER_SECOND = 100  # 10 ms hop
-_PATCH_SAMPLES = FRAME_LEN + (PATCH_FRAMES - 1) * FRAME_HOP  # 16 kHz samples under one patch
 
 
 @dataclass(frozen=True)
@@ -74,16 +68,6 @@ def _positive_probabilities(logits: np.ndarray, positive_class: int) -> list[flo
     return softmax(logits)[:, positive_class].tolist()
 
 
-def _score_seconds(bundle: WeightBundle, spec: LogMelSpectrogram, count: int,
-                   positive_class: int, clip_id: str, first: int = 0) -> list[SecondScore]:
-    """Scores of seconds ``first, ..., first + count - 1``, whose patches start at
-    frames 0, 100, ... of `spec`, from one `forward_batch`."""
-    patches = extract_patches(spec, FRAMES_PER_SECOND, count)
-    probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
-    return [SecondScore(clip_id=clip_id, second_index=first + s, probability=p)
-            for s, p in enumerate(probabilities)]
-
-
 def score_spectrogram(
     bundle: WeightBundle,
     spec: LogMelSpectrogram,
@@ -97,9 +81,12 @@ def score_spectrogram(
     clip's patches go through one `forward_batch`.
     """
     seconds = spec.whole_seconds
+    clip_id = clip_id or spec.source_id
     if seconds < 1:
-        raise TooShort(f"spectrogram {clip_id or spec.source_id!r} covers less than one second")
-    return _score_seconds(bundle, spec, seconds, positive_class, clip_id or spec.source_id)
+        raise TooShort(f"spectrogram {clip_id!r} covers less than one second")
+    patches = extract_patches(spec, FRAMES_PER_SECOND, seconds)
+    probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
+    return [SecondScore(clip_id, s, p) for s, p in enumerate(probabilities)]
 
 
 def score_stream(bundle: WeightBundle, clip: AudioSource, positive_class: int) -> list[SecondScore]:
@@ -108,46 +95,49 @@ def score_stream(bundle: WeightBundle, clip: AudioSource, positive_class: int) -
     `clip` is an AudioClip or a source read by range, such as a
     `wavio.WavReader` on a file. Second s is scored from the 96-frame patch at
     its first frame, which covers 16 kHz samples ``[16000 s, 16000 s + 15600)``.
-    Seconds go in blocks of `models.batch_size(bundle)`: each block resamples
-    its own range of the clip, computes the frames its patches use and makes
-    one `forward_batch` call, so memory is bounded by one block. The forward
-    chunks are those of `score_spectrogram` on the whole clip's log-mel, and
-    the scores are bit-identical to it. The blocks' 16 kHz ranges tile the
-    clip up to its end, so every input sample is read: a bad sample anywhere
-    in a file fails the whole clip, as `wavio.decode_wav` would.
+    The patches come from `frontend.patch_blocks` in blocks of
+    `models.batch_size(bundle)` seconds, one `forward_batch` call each, so
+    memory is bounded by one block. The forward chunks are those of
+    `score_spectrogram` on the whole clip's log-mel, and the scores are
+    bit-identical to it. Every input sample is read: a bad sample anywhere in
+    a file fails the whole clip, as `wavio.decode_wav` would.
     """
-    num_samples = resampled_length(clip.num_samples, clip.sample_rate)
-    seconds = num_samples // SAMPLE_RATE
+    seconds = resampled_length(clip.num_samples, clip.sample_rate) // SAMPLE_RATE
     if seconds < 1:
         raise TooShort(f"clip {clip.source_id!r} is shorter than one second")
-    step = batch_size(bundle)
     scores: list[SecondScore] = []
-    for first in range(0, seconds, step):
-        count = min(step, seconds - first)
-        stop = num_samples if first + count == seconds else (first + count) * SAMPLE_RATE
-        block = resample_to_16k(clip, first * SAMPLE_RATE, stop).samples
-        used = AudioClip(block[:(count - 1) * SAMPLE_RATE + _PATCH_SAMPLES], SAMPLE_RATE)
-        scores += _score_seconds(bundle, log_mel_spectrogram(used), count, positive_class,
-                                 clip.source_id, first)
+    for patches in patch_blocks(clip, batch_size(bundle), FRAMES_PER_SECOND, seconds):
+        first = len(scores)
+        probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
+        scores += [SecondScore(clip.source_id, first + s, p) for s, p in enumerate(probabilities)]
     return scores
 
 
 def merge_events(
     scores: Sequence[SecondScore], threshold: float, max_gap_s: int = 0
 ) -> list[DetectionEvent]:
-    """Merge above-threshold seconds into events.
+    """Merge above-threshold seconds into events, sorted by (clip_id, start_s).
 
-    Consecutive qualifying seconds form one event; runs separated by at most
-    `max_gap_s` below-threshold seconds are bridged into a single event. The
-    peak probability is the maximum over the event's span.
+    Scores are grouped by clip and ordered by second, so their input order
+    does not matter; a second scored twice in one clip, or a non-finite
+    threshold, is a ConfigError. Consecutive qualifying seconds form one event;
+    runs separated by at most `max_gap_s` below-threshold seconds are bridged
+    into a single event. The peak probability is the maximum over the event's
+    span.
     """
     if max_gap_s < 0:
         raise ConfigError("max_gap_s must be >= 0")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
+    clips: dict[str, dict[int, float]] = {}
+    for score in scores:
+        by_second = clips.setdefault(score.clip_id, {})
+        if score.second_index in by_second:
+            raise ConfigError(f"clip {score.clip_id!r} scores second {score.second_index} twice")
+        by_second[score.second_index] = score.probability
     events: list[DetectionEvent] = []
-    for clip_id, group in groupby(scores, key=lambda s: s.clip_id):
-        clip_scores = list(group)
-        by_second = {s.second_index: s.probability for s in clip_scores}
-        above = [s.second_index for s in clip_scores if s.probability >= threshold]
+    for clip_id, by_second in sorted(clips.items()):
+        above = sorted(second for second, p in by_second.items() if p >= threshold)
         if not above:
             continue
         start = prev = above[0]
@@ -158,7 +148,7 @@ def merge_events(
             events.append(_make_event(clip_id, start, prev, by_second))
             start = prev = second
         events.append(_make_event(clip_id, start, prev, by_second))
-    return sorted(events, key=lambda e: (e.clip_id, e.start_s))
+    return events
 
 
 def _make_event(clip_id: str, start: int, last: int, by_second: dict[int, float]) -> DetectionEvent:
@@ -170,13 +160,15 @@ def pr_curve(scored: Sequence[tuple[float, int]]) -> PRCurve:
     """Precision-recall curve over all distinct score thresholds, descending.
 
     Tied scores are processed as a single threshold step, so the curve does
-    not depend on input order. Average precision is the step-interpolated sum
-    sum_i (R_i - R_{i-1}) * P_i, accumulated in exact rational arithmetic and
-    rounded once at the end.
+    not depend on input order; a non-finite score is a ConfigError. Average
+    precision is the step-interpolated sum sum_i (R_i - R_{i-1}) * P_i,
+    accumulated in exact rational arithmetic and rounded once at the end.
     """
     if not scored:
         raise UndefinedMetric("cannot compute a PR curve on an empty input")
     scores = np.array([s for s, _ in scored], dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ConfigError("scores must be finite")
     labels = np.array([int(bool(l)) for _, l in scored], dtype=np.int64)
     total_pos = int(labels.sum())
     if total_pos == 0:

@@ -18,14 +18,15 @@ within the low-pass filter's 50-sample halo of its position, and a frame on
 its 400 samples. So `resample_to_16k` also computes any output range of a clip
 from only the input it needs, bit-identical to that slice of the whole-clip
 output, and a clip can be an `AudioClip` in memory or a source read by range
-(`AudioSource`, such as `wavio.WavReader`).
+(`AudioSource`, such as `wavio.WavReader`), as `log_mel_blocks` and
+`patch_blocks` do one block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -290,3 +291,39 @@ def extract_patches(spec: LogMelSpectrogram, hop: int = PATCH_FRAMES,
         frames = np.pad(frames, ((0, need - total), (0, 0)), mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(frames, PATCH_FRAMES, axis=0)
     return windows[::hop].transpose(0, 2, 1)
+
+
+def log_mel_blocks(clip: AudioSource, frames: int) -> Iterator[np.ndarray]:
+    """The rows of ``log_mel_spectrogram(resample_to_16k(clip)).frames``, bit for
+    bit, in consecutive blocks of `frames` (>= 96) rows, each computed from
+    only its own 16 kHz range. A remainder under 96 rows joins the last block,
+    as a BLAS may round a product of a few rows differently. The last block
+    reads to the clip's end: drained, the generator reads every input sample.
+    """
+    if frames < PATCH_FRAMES:
+        raise ConfigError(f"a block needs at least {PATCH_FRAMES} frames, got {frames}")
+    num_samples = resampled_length(clip.num_samples, clip.sample_rate)
+    starts = range(0, max(frame_count(num_samples) - PATCH_FRAMES, 0) + 1, frames)
+    for first in starts:
+        stop = num_samples if first == starts[-1] else (first + frames - 1) * FRAME_HOP + FRAME_LEN
+        yield log_mel_spectrogram(resample_to_16k(clip, first * FRAME_HOP, stop)).frames
+
+
+def patch_blocks(clip: AudioSource, block: int, hop: int = PATCH_FRAMES,
+                 count: int | None = None) -> Iterator[np.ndarray]:
+    """``extract_patches(whole-clip log-mel, hop, count)``, bit for bit, in
+    arrays of `block` patches (the last may be shorter). Patches must not
+    overlap (``hop >= 96``): each then lies in one block of
+    ``log_mel_blocks(clip, block * hop)``, and every block is read.
+    """
+    if block < 1 or hop < PATCH_FRAMES:
+        raise ConfigError(f"need block >= 1 and hop >= {PATCH_FRAMES}, got {block} and {hop}")
+    total = frame_count(resampled_length(clip.num_samples, clip.sample_rate))
+    if count is None:
+        count = max(total - PATCH_FRAMES, 0) // hop + 1
+    if total > 0 and (count < 1 or (count - 1) * hop >= total):
+        raise ConfigError(f"{count} patches at hop {hop} do not start within {total} frames")
+    for k, frames in enumerate(log_mel_blocks(clip, block * hop)):
+        n = min(count - k * block, -(-len(frames) // hop))  # patches starting in block k
+        for i in range(0, n, block):
+            yield extract_patches(LogMelSpectrogram(frames[i * hop:]), hop, min(block, n - i))

@@ -21,8 +21,8 @@ import numpy as np
 from . import bundle as bundle_io
 from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
-from .frontend import AudioClip, extract_patches, log_mel_spectrogram, resample_to_16k
-from .models import WeightBundle, forward_embedding
+from .frontend import AudioSource, patch_blocks
+from .models import WeightBundle, batch_size, forward_embedding
 from .nn import DenseParams, dense, log_softmax, softmax
 
 
@@ -105,12 +105,13 @@ class FoldResult:
 
 def extract_embeddings(
     bundle: WeightBundle,
-    clips: Iterable[tuple[AudioClip, int, int]],
+    clips: Iterable[tuple[AudioSource, int, int]],
     num_classes: int | None = None,
 ) -> tuple[EmbeddingSet, list[tuple[str, str]]]:
     """Embed labeled clips: mean of all 96-frame patch embeddings per clip.
 
-    `clips` yields (clip, label, fold) triples. Clips that fail with a
+    `clips` yields (clip, label, fold) triples; a clip is any `AudioSource`,
+    read in blocks of `models.batch_size` patches. Clips that fail with a
     SawnetError (bad audio, too short) are skipped and reported in the
     returned error list instead of aborting the batch; any other exception is
     a bug and propagates. Items come back sorted by clip_id.
@@ -120,12 +121,13 @@ def extract_embeddings(
     labels_seen: list[int] = []
     for clip, label, fold in clips:
         try:
-            patches = extract_patches(log_mel_spectrogram(resample_to_16k(clip)))
+            embeddings = [forward_embedding(bundle, patches)
+                          for patches in patch_blocks(clip, batch_size(bundle))]
             rows.append(EmbeddingItem(
                 clip_id=clip.source_id,
                 fold=int(fold),
                 label=int(label),
-                vector=forward_embedding(bundle, patches).mean(axis=0),
+                vector=np.concatenate(embeddings).mean(axis=0),
             ))
             labels_seen.append(int(label))
         except SawnetError as e:  # per-clip failure policy; bugs propagate
@@ -138,9 +140,10 @@ def extract_embeddings(
     return eset, errors
 
 
-def _design_matrix(eset: EmbeddingSet) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _design_matrix(eset: EmbeddingSet,
+                   dtype=np.float64) -> tuple[np.ndarray, np.ndarray, list[str]]:
     items = sorted(eset.items, key=lambda i: i.clip_id)
-    x = np.stack([i.vector for i in items], dtype=np.float64)
+    x = np.stack([i.vector for i in items], dtype=dtype)
     y = np.array([i.label for i in items], dtype=np.int64)
     return x, y, [i.clip_id for i in items]
 
@@ -162,8 +165,12 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
     if not train.items:
         raise ConfigError("training set is empty")
     x, y, _ = _design_matrix(train)
-    n, d = x.shape
-    k = train.num_classes
+    return _sgd(x, y, np.arange(len(y)), train.num_classes, cfg)
+
+
+def _sgd(x: np.ndarray, y: np.ndarray, rows: np.ndarray, k: int, cfg: TrainConfig) -> DenseParams:
+    """`train_head` on rows `rows` of `x`, each mini-batch widened to float64."""
+    n, d = len(rows), x.shape[1]
     lr = cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     limit = np.sqrt(6.0 / (d + k))
@@ -171,10 +178,10 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
     b = np.zeros(k)
     grad = np.empty_like(w)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = rows[rng.permutation(n)]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
+            xb, yb = x[idx].astype(np.float64, copy=False), y[idx]
             step = softmax(xb @ w.T + b)
             step[np.arange(len(idx)), yb] -= 1.0
             step *= lr / len(idx)
@@ -209,7 +216,9 @@ def evaluate_head(params: DenseParams, eset: EmbeddingSet) -> tuple[float, float
 def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResult], float]:
     """k-fold cross-validation: train on folds != f, evaluate on fold f.
 
-    Returns per-fold results and the unweighted mean accuracy across folds.
+    The set is stacked once, in its vectors' dtype, and each fold's head is
+    `train_head` on its rows. Returns per-fold results and the unweighted mean
+    accuracy across folds.
     """
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
@@ -219,9 +228,11 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
     missing = set(range(1, k + 1)) - folds_present
     if missing:
         raise ConfigError(f"folds with zero items: {sorted(missing)}")
+    x, y, _ = _design_matrix(eset, dtype=None)
+    folds = np.array([item.fold for item in sorted(eset.items, key=lambda i: i.clip_id)])
     results = []
     for fold in range(1, k + 1):
-        params = train_head(eset.subset(lambda i, f=fold: i.fold != f), cfg)
+        params = _sgd(x, y, np.flatnonzero(folds != fold), eset.num_classes, cfg)
         accuracy, macro_f1, scores = evaluate_head(params, eset.subset(lambda i, f=fold: i.fold == f))
         results.append(FoldResult(fold=fold, accuracy=accuracy, macro_f1=macro_f1,
                                   per_clip_scores=scores))

@@ -311,7 +311,8 @@ def _calibrate_last_layer(net: models.WeightBundle, specs) -> None:
 
 
 class TestDetectPathIdentity:
-    """`detect` on a WAV (read in blocks) and on its featurized container agree."""
+    """`detect` and `infer` on a WAV (read in blocks) and on its featurized
+    container agree."""
 
     @pytest.mark.parametrize("arch", ["aug", "fcn"])
     def test_wav_and_container_events_byte_identical(self, tmp_path, arch):
@@ -340,16 +341,22 @@ class TestDetectPathIdentity:
         gap = int(np.argmax(np.diff(probs)))
         threshold = f"{(probs[gap] + probs[gap + 1]) / 2:.6f}"
         assert run_cli("featurize", wavs, "--out-dir", tmp_path / "feat").returncode == 0
-        outs = []
+        outs, rows = [], []
         for name, inputs in (("wav", sorted(wavs.glob("*.wav"))),
                              ("feat", sorted((tmp_path / "feat").glob("*.csnw")))):
             outs.append(tmp_path / f"{name}.jsonl")
             assert run_cli("detect", "--model", model, "--threshold", threshold, "--gap", "0",
                            "--out", outs[-1], *inputs).returncode == 0
+            rows.append(run_cli("infer", "--model", model, *inputs))
+            assert rows[-1].returncode == 0
         events = outs[0].read_bytes()
         assert events == outs[1].read_bytes()
         assert {json.loads(line)["clip_id"] for line in events.splitlines()} == \
             {"clip44100", "clip16000"}
+        # infer reads the WAVs in blocks too, and gives the containers' rows
+        assert rows[0].stdout == rows[1].stdout
+        assert [json.loads(line)["clip_id"] for line in rows[0].stdout.splitlines()] == \
+            ["clip16000", "clip44100"]
 
 
 class TestInfer:

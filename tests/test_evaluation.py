@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_long_wav
-from sawnet import bundle, evaluation, frontend, models
-from sawnet.errors import ConfigError, DecodeError, TooShort, UndefinedMetric
+from sawnet import bundle, cli, evaluation, frontend, models, transfer
+from sawnet.errors import ConfigError, DecodeError, SawnetError, TooShort, UndefinedMetric
 from sawnet.evaluation import SecondScore, accuracy_f1, merge_events, pr_curve, score_stream
 from sawnet.frontend import AudioClip
 from sawnet.wavio import WavReader, decode_wav, encode_wav
@@ -91,6 +91,12 @@ class TestPRCurve:
         rng.shuffle(shuffled)
         assert pr_curve(scored) == pr_curve(shuffled)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN sorts as if it were the top score and used to give AP 0.5
+        with pytest.raises(ConfigError):
+            pr_curve([(0.9, 0), (bad, 1)])
+
     def test_zero_positives_rejected(self):
         with pytest.raises(UndefinedMetric):
             pr_curve([(0.9, 0), (0.1, 0)])
@@ -120,9 +126,9 @@ def _make_event_scanning_the_clip(clip_id, start, last, by_second):
                                      peak_probability=peak)
 
 
-# one clip's scores: ascending seconds, with gaps and repeats
-_CLIP_SCORES = st.lists(st.tuples(st.integers(0, 40), st.floats(0, 1)), max_size=40).map(
-    lambda pairs: sorted(pairs, key=lambda pair: pair[0]))
+# one clip's scores: ascending seconds, with gaps
+_CLIP_SCORES = st.dictionaries(st.integers(0, 40), st.floats(0, 1), max_size=40).map(
+    lambda by_second: sorted(by_second.items()))
 
 
 class TestMergeEvents:
@@ -166,6 +172,41 @@ class TestMergeEvents:
 
     def test_nothing_above_threshold(self):
         assert merge_events(scores_from([0.2, 0.3]), 0.5) == []
+
+    def test_seconds_out_of_order(self):
+        scores = [SecondScore("a", 5, 0.9), SecondScore("a", 3, 0.8)]
+        assert [(e.start_s, e.end_s) for e in merge_events(scores, 0.5)] == [(3, 4), (5, 6)]
+        assert [(e.start_s, e.end_s) for e in merge_events(scores, 0.5, 1)] == [(3, 6)]
+
+    def test_interleaved_clips(self):
+        scores = [SecondScore("a", 0, 0.9), SecondScore("b", 0, 0.9), SecondScore("a", 1, 0.9)]
+        assert [(e.clip_id, e.start_s, e.end_s) for e in merge_events(scores, 0.5)] == \
+            [("a", 0, 2), ("b", 0, 1)]
+
+    def test_duplicate_second_rejected(self):
+        with pytest.raises(ConfigError, match="second 0 twice"):
+            merge_events([SecondScore("a", 0, 0.9), SecondScore("a", 0, 0.2)], 0.5)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ConfigError):
+            merge_events(scores_from([0.9]), threshold)
+
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 12), st.floats(0, 1)),
+                    max_size=30),
+           st.one_of(st.floats(0, 1), st.just(float("nan"))), st.integers(0, 3), st.data())
+    @settings(max_examples=150)
+    def test_any_order_gives_the_sorted_inputs_events(self, triples, threshold, max_gap_s,
+                                                      data):
+        scores = [SecondScore(*t) for t in sorted(triples)]
+        shuffled = data.draw(st.permutations(scores))
+        try:
+            want = merge_events(scores, threshold, max_gap_s)
+        except SawnetError:
+            with pytest.raises(SawnetError):
+                merge_events(shuffled, threshold, max_gap_s)
+            return
+        assert merge_events(shuffled, threshold, max_gap_s) == want
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=60),
            st.floats(0.05, 0.95))
@@ -309,6 +350,30 @@ def _stream_case(rate, channels, seconds, seed):
     return data, decode_wav(data, source_id="c")
 
 
+@pytest.fixture(scope="module")
+def long_wavs(tmp_path_factory):
+    """Stereo 44.1 kHz recordings of 1 and 10 minutes (10 and 106 MB), by minutes."""
+    root = tmp_path_factory.mktemp("long-wavs")
+    paths = {minutes: write_long_wav(root / f"{minutes}min.wav", 60 * minutes, seed=minutes)
+             for minutes in (1, 10)}
+    yield paths
+    for path in paths.values():
+        path.unlink()
+
+
+def _peaks(run) -> list[int]:
+    """tracemalloc peaks of ``run(1)`` and ``run(10)``."""
+    peaks = []
+    for minutes in (1, 10):
+        tracemalloc.start()
+        try:
+            run(minutes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestBlockwiseScoring:
     """score_stream walks the clip in blocks; the whole-clip path is the reference."""
 
@@ -360,22 +425,57 @@ class TestBlockwiseScoring:
             whole, range(step, len(whole), step))]
         np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
-    def test_file_peak_memory_flat_in_length(self, tmp_path, monkeypatch):
+    def test_file_peak_memory_flat_in_length(self, long_wavs, monkeypatch):
         monkeypatch.setattr(evaluation, "forward_batch",
                             lambda net, patches: np.zeros((len(patches), 2)))
         net = models.init_bundle(models.build_aug_vggish(2), init="zeros")
-        peaks = []
-        for minutes in (1, 10):
-            path = write_long_wav(tmp_path / f"{minutes}min.wav", 60 * minutes, seed=minutes)
-            tracemalloc.start()
-            try:
-                with WavReader(path) as wav:
-                    assert len(score_stream(net, wav, positive_class=1)) == 60 * minutes
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            path.unlink()
+
+        def detect(minutes):
+            with WavReader(long_wavs[minutes]) as wav:
+                assert len(score_stream(net, wav, positive_class=1)) == 60 * minutes
+
+        peaks = _peaks(detect)
         assert peaks[1] <= 1.1 * peaks[0] + 2**20
+
+    def test_infer_peak_memory_flat_in_length(self, long_wavs, tmp_path, monkeypatch):
+        net = models.init_bundle(models.build_aug_vggish(2), init="zeros")
+        monkeypatch.setattr(cli, "load_bundle", lambda path: net)
+        monkeypatch.setattr(cli, "forward_batch",
+                            lambda net, patches: np.zeros((len(patches), 2), np.float32))
+
+        def infer(minutes):
+            assert cli.main(["infer", "--model", "zeros", str(long_wavs[minutes]),
+                             "--out", str(tmp_path / "rows.jsonl")]) == 0
+
+        peaks = _peaks(infer)
+        assert peaks[1] <= 1.1 * peaks[0] + 2**20
+
+    def test_featurize_peak_memory_grows_by_its_frames(self, long_wavs, tmp_path):
+        def featurize(minutes):
+            assert cli.main(["featurize", str(long_wavs[minutes]),
+                             "--out-dir", str(tmp_path / f"{minutes}min")]) == 0
+
+        peaks = _peaks(featurize)
+        # the 54,000 more frames the 10-minute container holds, as float32
+        # and as the bytes written
+        frames = 9 * 60 * 100 * frontend.NUM_MEL_BANDS * 4
+        assert peaks[1] <= 1.1 * peaks[0] + 2 * frames + 2**20
+
+    def test_extract_embeddings_peak_memory_flat_in_length(self, long_wavs, monkeypatch):
+        net = models.init_bundle(models.build_aug_vggish(2), init="zeros")
+        monkeypatch.setattr(transfer, "forward_embedding",
+                            lambda net, patches: np.zeros((len(patches), 256), np.float32))
+
+        def embed(minutes):
+            with WavReader(long_wavs[minutes], source_id="long") as wav:
+                eset, errors = transfer.extract_embeddings(net, [(wav, 0, 1)], num_classes=2)
+            assert not errors and len(eset.items) == 1
+
+        peaks = _peaks(embed)
+        # besides one block, only the [patches, 256] float32 embeddings grow:
+        # 563 more patches, held in blocks and then joined
+        embeddings = (625 - 62) * 256 * 4
+        assert peaks[1] <= 1.1 * peaks[0] + 2 * embeddings + 2**20
 
     @pytest.mark.parametrize("arch", ["aug", "fcn"])
     @pytest.mark.parametrize("rate, channels", [(44100, 2), (16000, 1)])
@@ -406,9 +506,11 @@ class TestBlockwiseScoring:
             score_stream(zero_bundle, Unreadable(), positive_class=1)
 
     @pytest.mark.parametrize("position", [1000, 31800, 49500])
-    def test_bad_sample_anywhere_fails_the_file(self, tmp_path, zero_bundle, position):
+    def test_bad_sample_anywhere_fails_the_file(self, tmp_path, zero_bundle, position,
+                                                 monkeypatch, capsys):
         # 31,800 lies between the samples two patches read, 49,500 past the
-        # last whole second: neither is under a patch, both fail decode_wav
+        # last whole second: neither is under a patch, both fail decode_wav,
+        # and so the file fails detect, extract_embeddings, infer and featurize
         samples = np.zeros(50000, np.float32)
         samples[position] = np.nan
         path = tmp_path / "nan.wav"
@@ -417,6 +519,14 @@ class TestBlockwiseScoring:
             decode_wav(path.read_bytes())
         with WavReader(path) as wav, pytest.raises(DecodeError):
             score_stream(zero_bundle, wav, positive_class=1)
+        with WavReader(path, source_id="nan") as wav:
+            eset, errors = transfer.extract_embeddings(zero_bundle, [(wav, 0, 1)], 2)
+        assert not eset.items and errors[0][1].startswith("DecodeError")
+        monkeypatch.setattr(cli, "load_bundle", lambda path: zero_bundle)
+        assert cli.main(["infer", "--model", "zeros", str(path)]) == 2
+        assert cli.main(["featurize", str(path), "--out-dir", str(tmp_path / "feat")]) == 2
+        assert not (tmp_path / "feat" / "nan.csnw").exists()
+        assert capsys.readouterr().err.count("nan.wav: DecodeError") == 2
 
 
 class TestPRCsv:

@@ -293,3 +293,76 @@ class TestExtractPatches:
             tail = np.repeat(window[-1:], 96 - len(window), axis=0)
             assert np.array_equal(patches[k], np.concatenate([window, tail]))
         assert np.shares_memory(patches, spec.frames) == ((n - 1) * hop + 96 <= total)
+
+
+class _ReadLog(frontend.AudioClip):
+    """An AudioClip that records the ranges it is read by."""
+
+    def read(self, lo, hi):
+        self.reads.append((lo, hi))
+        return super().read(lo, hi)
+
+
+def _read_log(data: bytes) -> _ReadLog:
+    clip = decode_wav(data)
+    source = _ReadLog(clip.samples, clip.sample_rate)
+    source.reads = []
+    return source
+
+
+def _noise_wav(rate: int, channels: int, n: int, seed: int) -> bytes:
+    raw = np.random.default_rng(seed).uniform(-0.5, 0.5, (n, channels))
+    return encode_wav(raw if channels == 2 else raw[:, 0], rate, channels=channels)
+
+
+class TestBlocks:
+    """`log_mel_blocks` and `patch_blocks` walk a clip in blocks; the whole
+    clip's log-mel is the reference, bit for bit."""
+
+    @given(rate=st.sampled_from([8000, 16000, 22050, 44100, 48000]),
+           channels=st.sampled_from([1, 2]), ms=st.integers(20, 9000),
+           block=st.sampled_from([1, 3, 4]), hop=st.sampled_from([96, 100]),
+           seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_patch_blocks_equal_whole_clip_patches(self, rate, channels, ms, block, hop,
+                                                   seed, data):
+        source = _read_log(_noise_wav(rate, channels, rate * ms // 1000, seed))
+        num_samples = frontend.resampled_length(source.num_samples, rate)
+        if num_samples < frontend.FRAME_LEN:
+            with pytest.raises(TooShort):
+                next(frontend.patch_blocks(source, block, hop))
+            return
+        spec = frontend.log_mel_spectrogram(frontend.resample_to_16k(source))
+        count = data.draw(st.none() | st.integers(1, (spec.num_frames - 1) // hop + 1))
+        whole = frontend.extract_patches(spec, hop, count)
+        source.reads.clear()
+        got = list(frontend.patch_blocks(source, block, hop, count))
+        assert [len(b) for b in got] == [len(c) for c in np.split(
+            whole, range(block, len(whole), block))]
+        np.testing.assert_array_equal(np.concatenate(got), whole)
+        # every sample is read, including any past the last patch
+        assert min(lo for lo, _ in source.reads) == 0
+        assert max(hi for _, hi in source.reads) == source.num_samples
+
+    @pytest.mark.parametrize("rate, seconds", [(16000, 25.0), (44100, 20.05), (8000, 0.5)])
+    def test_log_mel_blocks_tile_the_whole_spectrogram(self, rate, seconds):
+        # 20.05 s at 44.1 kHz gives 2,003 frames: a 3-frame remainder joins the last block
+        source = _read_log(_noise_wav(rate, 1, int(seconds * rate), seed=rate))
+        whole = frontend.log_mel_spectrogram(frontend.resample_to_16k(source)).frames
+        source.reads.clear()
+        blocks = list(frontend.log_mel_blocks(source, 1000))
+        assert all(len(b) == 1000 for b in blocks[:-1])
+        assert min(len(whole), 96) <= len(blocks[-1]) < 1096
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        # one read per block, neighbours overlapping, the last one to the end
+        assert len(source.reads) == len(blocks)
+        assert source.reads[0][0] == 0 and source.reads[-1][1] == source.num_samples
+        assert all(lo < prev_hi for (_, prev_hi), (lo, _) in zip(source.reads, source.reads[1:]))
+
+    def test_block_shorter_than_a_patch_rejected(self):
+        clip = frontend.AudioClip(np.zeros(16000, np.float32), 16000)
+        with pytest.raises(ConfigError):
+            next(frontend.log_mel_blocks(clip, 95))
+        for block, hop in ((0, 96), (1, 95)):
+            with pytest.raises(ConfigError):
+                next(frontend.patch_blocks(clip, block, hop))

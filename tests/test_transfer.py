@@ -202,21 +202,42 @@ class TestRunCV:
             manual = np.mean([s.predicted == s.true for s in r.per_clip_scores])
             assert r.accuracy == pytest.approx(manual, abs=1e-12)
 
-    def test_matches_reference_trained_heads(self, monkeypatch):
-        # 500 clips x 20 classes x 64 dims, overlapping enough that folds err
+    def test_matches_reference_trained_heads(self):
+        # 500 clips x 20 classes x 64 dims, overlapping enough that folds err;
+        # float32 vectors, as loaded from a cache, are widened only per batch
         eset = synthetic_set(num_classes=20, per_class=25, dim=64, folds=5, seed=16,
                              noise=0.8, margin=1.0)
         cfg = transfer.TrainConfig(epochs=5)
-        results, mean_accuracy = transfer.run_cv(eset, 5, cfg)
-        monkeypatch.setattr(transfer, "train_head", reference_train_head)
-        want, want_mean = transfer.run_cv(eset, 5, cfg)
-        assert 0.0 < mean_accuracy < 1.0 and mean_accuracy == want_mean
-        for r, w in zip(results, want):
-            assert (r.fold, r.accuracy, r.macro_f1) == (w.fold, w.accuracy, w.macro_f1)
-            assert [(s.clip_id, s.predicted) for s in r.per_clip_scores] == \
-                [(s.clip_id, s.predicted) for s in w.per_clip_scores]
-            for a, b in zip(r.per_clip_scores, w.per_clip_scores):
-                np.testing.assert_allclose(a.probabilities, b.probabilities, rtol=0, atol=1e-12)
+        for dtype in (np.float64, np.float32):
+            eset = dataclasses.replace(eset, items=tuple(
+                dataclasses.replace(i, vector=i.vector.astype(dtype)) for i in eset.items))
+            results, mean_accuracy = transfer.run_cv(eset, 5, cfg)
+            want = [transfer.evaluate_head(
+                        reference_train_head(eset.subset(lambda i: i.fold != fold), cfg),
+                        eset.subset(lambda i: i.fold == fold))
+                    for fold in range(1, 6)]
+            assert 0.0 < mean_accuracy < 1.0
+            assert mean_accuracy == np.mean([accuracy for accuracy, _, _ in want])
+            for fold, (r, (accuracy, macro_f1, scores)) in enumerate(zip(results, want), 1):
+                assert (r.fold, r.accuracy, r.macro_f1) == (fold, accuracy, macro_f1)
+                assert [(s.clip_id, s.predicted) for s in r.per_clip_scores] == \
+                    [(s.clip_id, s.predicted) for s in scores]
+                for a, b in zip(r.per_clip_scores, scores):
+                    np.testing.assert_allclose(a.probabilities, b.probabilities,
+                                               rtol=0, atol=1e-12)
+
+    def test_folds_bit_identical_to_train_head_on_their_subsets(self):
+        eset = synthetic_set(num_classes=4, per_class=12, dim=8, folds=3, seed=17, noise=1.0)
+        eset = dataclasses.replace(eset, items=tuple(
+            dataclasses.replace(i, vector=i.vector.astype(np.float32)) for i in eset.items))
+        cfg = transfer.TrainConfig(epochs=3, batch_size=5)
+        results, _ = transfer.run_cv(eset, 3, cfg)
+        for r in results:
+            params = transfer.train_head(eset.subset(lambda i: i.fold != r.fold), cfg)
+            *_, scores = transfer.evaluate_head(params, eset.subset(lambda i: i.fold == r.fold))
+            for a, b in zip(r.per_clip_scores, scores, strict=True):
+                assert a.clip_id == b.clip_id
+                np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
     def test_missing_fold_rejected(self):
         eset = synthetic_set(num_classes=2, per_class=8, dim=4, folds=4, seed=14)
