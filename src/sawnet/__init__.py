@@ -17,7 +17,6 @@ from .errors import (
     ParseError,
     SawnetError,
     ShapeError,
-    StructureError,
     TooShort,
     UndefinedMetric,
     UnsupportedFormat,
@@ -49,7 +48,6 @@ from .models import (
     build_aug_vggish,
     build_fcn_vggish,
     count_params,
-    fold_batchnorm,
     forward_batch,
     forward_embedding,
     init_bundle,

@@ -14,8 +14,11 @@ the payload start, and ``payload_bytes`` declaring the payload size. Readers
 must ignore header fields they do not understand.
 
 Weight bundles store arch_id, num_classes, preproc_tag, epsilon and a
-``folded`` flag; the layer list is reconstructed from arch_id, so only the
-canonical architectures (optionally batch-norm folded) are persistable.
+boolean ``folded`` flag; the layer list is reconstructed from arch_id, so
+only the canonical architectures are persistable. `save_bundle` writes the
+batch-norm-folded tensors a bundle holds (``folded: true``); `load_bundle`
+also reads the stored conv+BN layout (``folded: false``), which the bundle
+folds as it validates.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from .frontend import (
     LogMelSpectrogram,
     frame_count,
 )
-from .models import (
-    DEFAULT_EPSILON,
-    ModelSpec,
-    WeightBundle,
-    build_arch,
-    fold_spec,
-)
+from .models import DEFAULT_EPSILON, WeightBundle, build_arch, fold_spec
 
 MAGIC = b"CSNW"
 VERSION = 1
@@ -156,22 +153,13 @@ def _check_manifest(header: dict, payload_len: int) -> list[tuple[str, list, int
     return entries
 
 
-def _canonical_specs(arch_id: str, num_classes: int) -> tuple[ModelSpec, ModelSpec]:
-    spec = build_arch(arch_id, num_classes)
-    return spec, fold_spec(spec)
-
-
 def save_bundle(bundle: WeightBundle, path) -> None:
-    """Persist a weight bundle; load_bundle(save_bundle(b)) round-trips it."""
-    unfolded, folded = _canonical_specs(bundle.spec.arch_id, bundle.spec.num_classes)
-    if bundle.spec == unfolded:
-        is_folded = False
-    elif bundle.spec == folded:
-        is_folded = True
-    else:
+    """Persist a weight bundle's folded tensors; load_bundle(save_bundle(b))
+    round-trips it."""
+    if bundle.spec != fold_spec(build_arch(bundle.spec.arch_id, bundle.spec.num_classes)):
         raise ValidationError(
             f"bundle layers deviate from the canonical {bundle.spec.arch_id} layout; "
-            "only canonical (optionally folded) architectures are persistable"
+            "only canonical architectures are persistable"
         )
     header = {
         "kind": "weights",
@@ -179,7 +167,7 @@ def save_bundle(bundle: WeightBundle, path) -> None:
         "num_classes": bundle.spec.num_classes,
         "preproc_tag": bundle.preproc_tag,
         "epsilon": bundle.epsilon,
-        "folded": is_folded,
+        "folded": True,
     }
     write_container(path, header, bundle.params)
 
@@ -197,6 +185,7 @@ def load_bundle(path) -> WeightBundle:
 
     A bundle whose preproc_tag does not match this build's frontend
     convention is rejected rather than silently producing mismatched features.
+    An unfolded file (``folded: false``, the default) is folded as it loads.
     """
     header, tensors = read_container(path)
     arch_id = header.get("arch_id")
@@ -209,10 +198,14 @@ def load_bundle(path) -> WeightBundle:
             f"bundle expects frontend {preproc_tag!r}, this build provides {PREPROC_TAG!r}"
         )
     epsilon = _positive_number(header, "epsilon", DEFAULT_EPSILON)
+    folded = header.get("folded", False)
+    if not isinstance(folded, bool):
+        raise ValidationError(f"invalid folded {folded!r}, expected a JSON boolean")
     spec = build_arch(arch_id, num_classes)
-    if header.get("folded", False):
+    if folded:
         spec = fold_spec(spec)
-    # the read-only float32 tensors become the weights as they are, uncopied
+    # the read-only float32 tensors become the weights as they are, uncopied,
+    # or are folded into new ones, each stored tensor dropped as it goes
     return WeightBundle(spec=spec, params=tensors, preproc_tag=preproc_tag,
                         epsilon=epsilon)
 

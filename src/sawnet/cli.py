@@ -166,7 +166,6 @@ def cmd_info(args) -> int:
     print(f"num_classes: {spec.num_classes}")
     print(f"preproc_tag: {bundle.preproc_tag}")
     print(f"epsilon: {bundle.epsilon}")
-    print(f"folded: {str(bundle.folded).lower()}")
     print("layers:")
     for layer in spec.layers:
         print(f"  {layer.name:8s} {layer.kind:16s}{describe_layer(layer)}")

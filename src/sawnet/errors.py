@@ -33,10 +33,6 @@ class ShapeError(SawnetError):
     """Tensor shape mismatch between an operator and its arguments."""
 
 
-class StructureError(SawnetError):
-    """Layer graph in an order the requested transform cannot handle."""
-
-
 class FormatError(SawnetError):
     """Weight-container bytes that do not parse (magic, version, truncation)."""
 

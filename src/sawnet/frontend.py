@@ -254,12 +254,12 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
     """
     if clip.sample_rate != SAMPLE_RATE:
         raise ConfigError(f"expected a {SAMPLE_RATE} Hz clip, got {clip.sample_rate} Hz")
-    x = clip.samples.astype(np.float64)
+    x = clip.samples
     if len(x) < FRAME_LEN:
         raise TooShort(f"need at least {FRAME_LEN} samples, got {len(x)}")
-    num_frames = frame_count(len(x))
-    idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(num_frames)[:, None]
-    frames = x[idx] * _hann_periodic(FRAME_LEN)
+    # strided float32 views of the samples, widened exactly by the float64 window
+    frames = np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::FRAME_HOP]
+    frames = frames * _hann_periodic(FRAME_LEN)
     spectrum = np.fft.rfft(frames, n=N_FFT)
     power = spectrum.real**2 + spectrum.imag**2
     fb = _cached_filterbank(NUM_FFT_BINS, NUM_MEL_BANDS, MEL_FMIN_HZ, MEL_FMAX_HZ, SAMPLE_RATE)

@@ -13,6 +13,11 @@ single input channel:
                total), a 1x1 convolutional classifier, and global average
                pooling. No dense layers. 18,716,338 parameters at 50 classes.
 
+Those are the layouts as stored. A `WeightBundle` holds and runs only their
+batch-norm-folded form: validation scales each conv's kernels and bias by
+the batch norm after it, once, and drops the batch norm, so a forward is
+conv, bias, ReLU, pool and dense, and names only layers of that network.
+
 Patches (`frontend.extract_patches`) are fixed at 96x64, but global pooling
 lets `run_layers` take any [B, 1, H, W] input whose pools each see at least
 2x2: H, W >= 16 for aug_vggish (four pools) and H, W >= 32 for fcn_vggish
@@ -22,7 +27,7 @@ The embedding (penultimate representation) is the 256-unit FC output for
 aug_vggish and the globally pooled 1024-channel feature map for fcn_vggish.
 
 Every forward goes through `run_layers`, which takes a ``[B, C, H, W]`` batch
-and makes one `nn` operator call per layer, batch norm and ReLU in place.
+and makes one `nn` operator call per layer, ReLU in place.
 `forward_batch` runs an ``[N, H, W]`` array of patches through it in chunks
 of `batch_size` patches, and `forward_embedding` does the same up to the
 embedding; one patch `p` is ``p[None]``. A chunk shares one pass over every
@@ -41,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, StructureError, ValidationError
+from .errors import ConfigError, ValidationError
 from .frontend import NUM_MEL_BANDS, PATCH_FRAMES, PREPROC_TAG
 
 ARCH_AUG_VGGISH = "aug_vggish"
@@ -75,8 +80,9 @@ class ModelSpec:
 
     `arch_id` must be a known architecture, but for a custom layer list it is
     only a label: any list whose shapes chain from a ``[1, 96, 64]`` patch to
-    `num_classes` runs under it. Only the canonical layouts of `arch_id`,
-    folded or not, can be saved (`bundle.save_bundle`).
+    `num_classes`, and whose batch norms each follow a conv, runs under it.
+    Only the folded canonical layout of `arch_id` can be saved
+    (`bundle.save_bundle`).
     """
 
     arch_id: str
@@ -163,15 +169,17 @@ class _Kind(NamedTuple):
     `out_shape(layer, s)` is the output shape for one item of shape `s`,
     ``(C, H, W)`` or ``(K,)``, or None when the layer cannot take it.
     `forward(x, params)` runs the layer on a batch, ``[B, C, H, W]`` or
-    ``[B, K]``; a batch norm writes into `x`. `shapes(layer)` names its
-    parameter tensors, `build(layer, tensors, epsilon)` makes its `nn` params
-    object from them (which rejects non-finite values) and `show(layer)` is
-    its `sawnet info` text. A forward looks up `nn.<op>` when it runs, so an
-    operator replaced on the module (by a tracer or a test) is the one called.
+    ``[B, K]``. `shapes(layer)` names its parameter tensors,
+    `build(layer, tensors, epsilon)` makes its `nn` params object from them
+    (which rejects non-finite values) and `show(layer)` is its `sawnet info`
+    text. A forward looks up `nn.<op>` when it runs, so an operator replaced
+    on the module (by a tracer or a test) is the one called. A batch norm is
+    only stored, never run: it has tensors and a params object, which
+    validation folds into the conv before it.
     """
 
-    out_shape: Callable[[LayerDef, tuple], tuple | None]
-    forward: Callable[[np.ndarray, object], np.ndarray]
+    out_shape: Callable[[LayerDef, tuple], tuple | None] | None = None
+    forward: Callable[[np.ndarray, object], np.ndarray] | None = None
     shapes: Callable[[LayerDef], dict] = lambda layer: {}
     build: Callable[[LayerDef, dict, float], object] | None = None
     show: Callable[[LayerDef], str] = lambda layer: ""
@@ -186,12 +194,9 @@ _KINDS = {
         build=lambda l, t, epsilon: nn.ConvParams(t["kernels"], t["bias"]),
         show=lambda l: f"{l.in_ch}->{l.out_ch} {l.kernel}x{l.kernel}"),
     "batchnorm": _Kind(
-        out_shape=lambda l, s: s if len(s) == 3 and s[0] == l.channels else None,
-        forward=lambda x, p: nn.batchnorm_infer(x, p),
         shapes=lambda l: dict.fromkeys(("gamma", "beta", "mean", "var"), (l.channels,)),
         build=lambda l, t, epsilon: nn.BatchNormParams(
-            t["gamma"], t["beta"], t["mean"], t["var"], epsilon=epsilon),
-        show=lambda l: f"{l.channels} channels"),
+            t["gamma"], t["beta"], t["mean"], t["var"], epsilon=epsilon)),
     "maxpool": _Kind(
         out_shape=lambda l, s: ((s[0], s[1] // 2, s[2] // 2)
                                 if len(s) == 3 and min(s[1:]) >= 2 else None),
@@ -242,6 +247,27 @@ def _activation_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     return shapes
 
 
+def fold_spec(spec: ModelSpec) -> ModelSpec:
+    """The layer list a bundle runs: each batch norm dropped and its ReLU given
+    to the conv before it; an embedding layer that was a batch norm becomes
+    that conv. A batch norm that does not directly follow a conv of its width
+    without a ReLU cannot be folded and raises `ValidationError`."""
+    layers: list[LayerDef] = []
+    embedding_layer = spec.embedding_layer
+    for layer in spec.layers:
+        if layer.kind != "batchnorm":
+            layers.append(layer)
+            continue
+        if not layers or layers[-1].kind != "conv" or layers[-1].relu \
+                or layers[-1].out_ch != layer.channels:
+            raise ValidationError(f"layer {layer.name}: batch norm does not follow a "
+                                  f"convolution of {layer.channels} channels without a ReLU")
+        layers[-1] = replace(layers[-1], relu=layer.relu)
+        if embedding_layer == layer.name:
+            embedding_layer = layers[-1].name
+    return replace(spec, layers=tuple(layers), embedding_layer=embedding_layer)
+
+
 def _validate_chain(spec: ModelSpec) -> None:
     """Check that layer shapes chain from a [1, 96, 64] patch to [num_classes]."""
     if spec.arch_id not in _BUILDERS:
@@ -260,6 +286,10 @@ class WeightBundle:
     `params` maps "<layer>/<tensor>" to arrays, e.g. "conv1/kernels",
     "bn1/gamma", "fc1/weights". `epsilon` is shared by every batch-norm
     layer; `preproc_tag` records the frontend convention the weights expect.
+
+    Validation folds every batch norm into the conv before it: afterwards
+    `spec` is `fold_spec` of the given layer list and `params` holds only the
+    folded network's tensors, the one copy of the weights that runs.
 
     `dtype` is the bundle's compute dtype, the promoted dtype of its tensors:
     float32 for every bundle loaded from a container, float64 when an
@@ -282,39 +312,65 @@ class WeightBundle:
         self.validate()
 
     def validate(self) -> None:
-        """Check params against the layer list and build the operator cache."""
-        _validate_chain(self.spec)
+        """Check the tensors against the layer list, fold batch norm and build
+        the operator cache.
+
+        `params` is rewritten in place, each stored conv+BN tensor dropped as
+        its folded conv replaces it, so a load never holds two copies of the
+        weights. A bundle that fails validation is left unusable.
+        """
+        spec = fold_spec(self.spec)
+        _validate_chain(spec)
         self.dtype = np.result_type(np.float32, *{_float_dtype(a) for a in self.params.values()})
-        objs: dict[str, object] = {}
-        expected: set[str] = set()
-        for layer in self.spec.layers:
-            tensors = {}
-            for suffix, shape in param_shapes(layer).items():
-                key = f"{layer.name}/{suffix}"
-                expected.add(key)
-                if key not in self.params:
-                    raise ValidationError(f"missing parameter tensor {key!r}")
-                src = np.asarray(self.params[key])
-                if src.shape != shape:
-                    raise ValidationError(
-                        f"tensor {key!r} has shape {src.shape}, expected {shape}"
-                    )
-                arr = np.asarray(src, dtype=self.dtype)
-                arr.setflags(write=False)
-                self.params[key] = tensors[suffix] = arr
-            try:
-                if tensors:
-                    objs[layer.name] = _KINDS[layer.kind].build(layer, tensors, self.epsilon)
-            except nn.ShapeError as e:
-                raise ValidationError(f"layer {layer.name}: {e}") from e
-        extra = set(self.params) - expected
+        stored = {f"{l.name}/{suffix}": shape
+                  for l in self.spec.layers for suffix, shape in param_shapes(l).items()}
+        extra = set(self.params) - set(stored)
         if extra:
             raise ValidationError(f"unreferenced parameter tensors: {sorted(extra)}")
-        self._objs = objs
+        for key, shape in stored.items():
+            if key not in self.params:
+                raise ValidationError(f"missing parameter tensor {key!r}")
+            arr = np.asarray(self.params[key])
+            if arr.shape != shape:
+                raise ValidationError(f"tensor {key!r} has shape {arr.shape}, expected {shape}")
+            arr = np.asarray(arr, dtype=self.dtype)
+            arr.setflags(write=False)
+            self.params[key] = arr
+        # fold_spec has checked that each batch norm directly follows its conv
+        for conv, layer in zip(self.spec.layers, self.spec.layers[1:]):
+            if layer.kind == "batchnorm":
+                bn = self._build(layer)
+                for suffix in param_shapes(layer):
+                    del self.params[f"{layer.name}/{suffix}"]
+                self._fold(conv.name, bn)
+        self._objs = {layer.name: self._build(layer)
+                      for layer in spec.layers if param_shapes(layer)}
+        self.spec = spec
 
-    @property
-    def folded(self) -> bool:
-        return not any(l.kind == "batchnorm" for l in self.spec.layers)
+    def _build(self, layer: LayerDef) -> object:
+        tensors = {suffix: self.params[f"{layer.name}/{suffix}"] for suffix in param_shapes(layer)}
+        try:
+            return _KINDS[layer.kind].build(layer, tensors, self.epsilon)
+        except nn.ShapeError as e:
+            raise ValidationError(f"layer {layer.name}: {e}") from e
+
+    def _fold(self, conv: str, bn: nn.BatchNormParams) -> None:
+        """Replace conv `conv`'s tensors by ``kernels * scale`` and
+        ``(bias - mean) * scale + beta``, computed in float64 and rounded to
+        the bundle's dtype.
+
+        The kernels are multiplied in float64 straight into one new array of
+        the bundle's dtype (numpy casts a small buffer at a time, so no
+        float64 copy of a kernel is made), and the stored kernels are dropped
+        as soon as the new ones are whole.
+        """
+        kernels, bias = self.params.pop(f"{conv}/kernels"), self.params.pop(f"{conv}/bias")
+        folded = np.multiply(kernels, bn.scale[:, None, None, None], dtype=np.float64,
+                             out=np.empty(kernels.shape, self.dtype), casting="unsafe")
+        bias = ((bias.astype(np.float64) - bn.running_mean) * bn.scale + bn.beta).astype(self.dtype)
+        for suffix, arr in (("kernels", folded), ("bias", bias)):
+            arr.setflags(write=False)
+            self.params[f"{conv}/{suffix}"] = arr
 
     @property
     def nbytes(self) -> int:
@@ -337,7 +393,8 @@ def init_bundle(
     """Fresh bundle for a spec: all-zero weights or seeded He-scaled noise.
 
     Batch-norm statistics start at identity (gamma 1, beta 0, mean 0, var 1)
-    either way.
+    either way, so the folded kernels are the drawn ones times
+    ``1 / sqrt(1 + epsilon)``.
     """
     if init not in ("zeros", "random"):
         raise ConfigError(f"init must be 'zeros' or 'random', got {init!r}")
@@ -363,11 +420,11 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
     the weights' own dtype and the caller's `x` is never written: a float32
     bundle rounds a float64 patch to float32 here, the rounding a feature
     container stores. One operator call per layer, whatever the batch size.
-    `stop_after` names a layer; its output (after any ReLU it owns) is
-    returned and the remaining layers are skipped. Every array held here is
-    this function's own (the input copy, then each operator's new result), so
-    batch norm and ReLU overwrite it in place and a step holds one copy of
-    its map instead of three.
+    `stop_after` names a layer of the folded network; its output (after any
+    ReLU it owns) is returned and the remaining layers are skipped. Every
+    array held here is this function's own (the input copy, then each
+    operator's new result), so ReLU overwrites it in place and a step holds
+    one copy of its map instead of two.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -432,54 +489,3 @@ def forward_embedding(bundle: WeightBundle, patches: np.ndarray) -> np.ndarray:
             f"embedding has shape {out.shape[1:]}, expected ({bundle.spec.embedding_dim},)"
         )
     return out
-
-
-def fold_spec(spec: ModelSpec) -> ModelSpec:
-    """Structural half of batch-norm folding: drop BN layers, keep their ReLU."""
-    layers: list[LayerDef] = []
-    embedding_layer = spec.embedding_layer
-    for layer in spec.layers:
-        if layer.kind != "batchnorm":
-            layers.append(layer)
-            continue
-        if not layers or layers[-1].kind != "conv":
-            raise StructureError(f"batch norm {layer.name} does not follow a convolution")
-        if layers[-1].out_ch != layer.channels:
-            raise StructureError(f"batch norm {layer.name} channel count mismatch")
-        layers[-1] = replace(layers[-1], relu=layer.relu or layers[-1].relu)
-        if embedding_layer == layer.name:
-            embedding_layer = layers[-1].name
-    return replace(spec, layers=tuple(layers), embedding_layer=embedding_layer)
-
-
-def fold_batchnorm(bundle: WeightBundle) -> WeightBundle:
-    """Absorb every conv+BN pair into a single convolution.
-
-    kernel' = kernel * gamma / sqrt(var + eps) per output channel and
-    bias' = (bias - mean) * gamma / sqrt(var + eps) + beta, so the folded
-    forward matches the two-step computation up to rounding.
-    """
-    folded_spec = fold_spec(bundle.spec)
-    params: dict[str, np.ndarray] = {}
-    prev_conv: str | None = None  # fold_spec has checked that each BN follows a conv
-    for layer in bundle.spec.layers:
-        n = layer.name
-        if layer.kind != "batchnorm":
-            prev_conv = n
-            params.update({f"{n}/{suffix}": np.asarray(bundle.params[f"{n}/{suffix}"])
-                           for suffix in param_shapes(layer)})
-            continue
-        # folded in float64 whatever the bundle's dtype, then rounded to the
-        # container's float32, so a folded float32 bundle forwards identically
-        # before and after save_bundle
-        t = {key: np.asarray(bundle.params[key], np.float64) for key in (
-            f"{n}/gamma", f"{n}/beta", f"{n}/mean", f"{n}/var",
-            f"{prev_conv}/kernels", f"{prev_conv}/bias")}
-        scale = t[f"{n}/gamma"] / np.sqrt(t[f"{n}/var"] + bundle.epsilon)
-        params[f"{prev_conv}/kernels"] = (
-            t[f"{prev_conv}/kernels"] * scale[:, None, None, None]).astype(np.float32)
-        params[f"{prev_conv}/bias"] = (
-            (t[f"{prev_conv}/bias"] - t[f"{n}/mean"]) * scale + t[f"{n}/beta"]).astype(np.float32)
-    return WeightBundle(
-        spec=folded_spec, params=params, preproc_tag=bundle.preproc_tag, epsilon=bundle.epsilon
-    )

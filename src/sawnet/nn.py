@@ -6,24 +6,26 @@ channels-first ``[B, C, H, W]`` maps and ``[B, K]`` vectors (one item is
 rounding of a differently blocked matrix product. A conv's output is stored
 channel-major, ``[C, B, H, W]`` memory seen as a ``[B, C, H, W]`` view (a
 plain C-contiguous map for one item), the row order of its matrix product;
-batch norm, ReLU and pooling keep that order, so the next conv gathers from
-it by a straight copy. Batch norm and ReLU write into their input and return
-it. Every operator computes in the promoted dtype of its input and
-parameters: float32 maps with float32 parameters run float32 matrix products
-and multiplies, and anything with a float64 operand runs in float64. The one
-exception is the dense head's loss path: `softmax` and `log_softmax` take
-``[K]`` or ``[B, K]`` logits and always work in float64.
+ReLU and pooling keep that order, so the next conv gathers from it by a
+straight copy. ReLU writes into its input and returns it. Every operator
+computes in the promoted dtype of its input and parameters: float32 maps
+with float32 parameters run float32 matrix products and multiplies, and
+anything with a float64 operand runs in float64. The one exception is the
+dense head's loss path: `softmax` and `log_softmax` take ``[K]`` or
+``[B, K]`` logits and always work in float64.
 
 Parameter objects hold read-only views of the arrays they are given, never
 copies, reject non-finite values, and prepare what every call needs once at
-construction: a conv keeps its kernels as an ``[out, in*k*k]`` matrix, a
-batch norm its per-channel scale and shift. `models.WeightBundle` builds them
-on its read-only arrays in the bundle's own dtype, so each tensor is scanned
-once and a network forward casts no weight.
+construction: a conv keeps its kernels as an ``[out, in*k*k]`` matrix.
+`models.WeightBundle` builds them on its read-only arrays in the bundle's own
+dtype, so each tensor is scanned once and a network forward casts no weight.
+Batch norm has parameters but no operator: `BatchNormParams` checks the
+stored statistics and gives the per-channel scale that `models.WeightBundle`
+folds into the conv before it.
 
 Nothing here has a backward path: `transfer.train_head` forms the dense
 head's gradient itself (softmax minus one-hot, times the inputs), and
-convolution and batch norm are inference-only.
+convolution is inference-only.
 """
 
 from __future__ import annotations
@@ -86,9 +88,8 @@ class ConvParams:
 class BatchNormParams:
     """Per-channel affine renormalization statistics (inference form).
 
-    `scale` = gamma / sqrt(var + eps) and `shift` = beta - mean * scale are
-    computed once, in float64; `batchnorm_infer` rounds them to float32 for a
-    float32 map with float32 statistics.
+    `scale` = gamma / sqrt(var + eps) is computed once, in float64; at
+    inference batch norm is ``(x - mean) * scale + beta``.
     """
 
     gamma: np.ndarray
@@ -97,7 +98,6 @@ class BatchNormParams:
     running_var: np.ndarray
     epsilon: float = 1e-5
     scale: np.ndarray = field(init=False, repr=False, compare=False)
-    shift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gamma", "beta", "running_mean", "running_var"):
@@ -114,13 +114,7 @@ class BatchNormParams:
             raise ShapeError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         scale = self.gamma.astype(np.float64) / np.sqrt(
             self.running_var.astype(np.float64) + self.epsilon)
-        shift = self.beta.astype(np.float64) - self.running_mean.astype(np.float64) * scale
         object.__setattr__(self, "scale", _readonly(scale, "scale"))
-        object.__setattr__(self, "shift", _readonly(shift, "shift"))
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
 
 
 @dataclass(frozen=True)
@@ -200,23 +194,6 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
         np.matmul(p.kmat, taps.reshape(c * k * k, -1), out=out[:, i * h * w:(i + m) * h * w])
     out += p.bias[:, None]
     return out.reshape(p.out_channels, b, h, w).transpose(1, 0, 2, 3)
-
-
-def batchnorm_infer(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta``, written into `x`.
-
-    Computed in place as ``x * scale + shift`` in the promoted dtype of `x`
-    and `gamma`, which `x` must already have; `x` is returned.
-    """
-    x = _check_maps(x, "batchnorm_infer")
-    if x.shape[1] != p.channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, batch norm expects {p.channels}")
-    dtype = np.result_type(x, p.gamma)
-    if x.dtype != dtype:
-        raise ShapeError(f"batchnorm_infer: a {x.dtype} map cannot hold its {dtype} result")
-    x *= p.scale.astype(dtype, copy=False)[:, None, None]
-    x += p.shift.astype(dtype, copy=False)[:, None, None]
-    return x
 
 
 def relu(x: np.ndarray) -> np.ndarray:

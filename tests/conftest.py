@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import sawnet
-from sawnet import frontend, models
+from sawnet import frontend, models, nn
+from sawnet.bundle import write_container
 from sawnet.wavio import encode_wav, wav_header
 
 # the child process imports the same sawnet as the tests, installed or not
@@ -58,18 +60,68 @@ def silence_clip(duration_s: float, sample_rate: int = 16000,
                               source_id=source_id)
 
 
-def random_bn_stats(bundle: models.WeightBundle, seed: int = 0) -> models.WeightBundle:
-    """Give every batch-norm layer non-trivial running statistics."""
-    rng = np.random.default_rng(seed)
-    for key in list(bundle.params):
-        if key.endswith("/mean") or key.endswith("/beta"):
-            bundle.params[key] = rng.normal(0, 0.5, bundle.params[key].shape).astype(np.float32)
-        elif key.endswith("/var"):
-            bundle.params[key] = rng.uniform(0.2, 2.0, bundle.params[key].shape).astype(np.float32)
-        elif key.endswith("/gamma"):
-            bundle.params[key] = rng.uniform(0.5, 1.5, bundle.params[key].shape).astype(np.float32)
-    bundle.validate()
-    return bundle
+def random_bn_stats(spec: models.ModelSpec, seed: int = 0,
+                    init_seed: int | None = None) -> dict[str, np.ndarray]:
+    """The stored float32 tensors of `spec`, before a bundle folds them:
+    `init_bundle`'s seeded He-scaled weights (drawn from `init_seed`) and
+    non-trivial running statistics for every batch-norm layer (from `seed`)."""
+    init_rng, rng = np.random.default_rng(init_seed), np.random.default_rng(seed)
+    params = {}
+    for layer in spec.layers:
+        for suffix, shape in models.param_shapes(layer).items():
+            if suffix in ("kernels", "weights"):
+                value = init_rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+            elif suffix == "gamma":
+                value = rng.uniform(0.5, 1.5, shape)
+            elif suffix == "var":
+                value = rng.uniform(0.2, 2.0, shape)
+            elif suffix in ("beta", "mean"):
+                value = rng.normal(0, 0.5, shape)
+            else:
+                value = np.zeros(shape)
+            params[f"{layer.name}/{suffix}"] = value.astype(np.float32)
+    return params
+
+
+def save_unfolded(path, spec: models.ModelSpec, stored: dict[str, np.ndarray],
+                  epsilon: float = models.DEFAULT_EPSILON):
+    """Write `stored` as an unfolded (``folded: false``) container of `spec`'s
+    canonical architecture, the layout `save_bundle` no longer writes."""
+    write_container(path, {"kind": "weights", "arch_id": spec.arch_id,
+                           "num_classes": spec.num_classes, "preproc_tag": frontend.PREPROC_TAG,
+                           "epsilon": epsilon, "folded": False}, stored)
+    return path
+
+
+def unfolded_forward(spec, tensors, epsilon, x, stop_after=None):
+    """Reference forward of one ``[C, H, W]`` item on stored tensors, in float64:
+    every tensor cast per call, batch norm applied as its own affine pass
+    after the conv, and convolution by an im2col of its own."""
+    for layer in spec.layers:
+        t = {suffix: np.asarray(tensors[f"{layer.name}/{suffix}"], np.float64)
+             for suffix in models.param_shapes(layer)}
+        if layer.kind == "conv":
+            c, h, w = x.shape
+            k, pad = layer.kernel, layer.kernel // 2
+            xp = np.pad(x.astype(np.float64, copy=False), ((0, 0), (pad, pad), (pad, pad)))
+            cols = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+            cols = cols.transpose(0, 3, 4, 1, 2).reshape(c * k * k, h * w)
+            kmat = t["kernels"].reshape(layer.out_ch, c * k * k)
+            x = (kmat @ cols + t["bias"][:, None]).reshape(layer.out_ch, h, w)
+        elif layer.kind == "batchnorm":
+            scale = t["gamma"] / np.sqrt(t["var"] + epsilon)
+            x = (x - t["mean"][:, None, None]) * scale[:, None, None] + t["beta"][:, None, None]
+        elif layer.kind == "maxpool":
+            x = nn.maxpool_2x2(x[None])[0]
+        elif layer.kind == "global_avg_pool":
+            x = nn.global_avg_pool(x[None])[0]
+        elif layer.kind == "dense":
+            x = t["weights"] @ x + t["bias"]
+        if layer.relu:
+            x = np.maximum(x, 0)
+        if layer.name == stop_after:
+            break
+    return x
 
 
 def float64_copy(bundle: models.WeightBundle) -> models.WeightBundle:
@@ -92,14 +144,14 @@ def random_patches(seeds) -> np.ndarray:
 @pytest.fixture(scope="session")
 def aug_bundle_small():
     """Random aug_vggish bundle with 4 classes and non-trivial BN stats."""
-    bundle = models.init_bundle(models.build_aug_vggish(4), init="random", seed=11)
-    return random_bn_stats(bundle, seed=12)
+    spec = models.build_aug_vggish(4)
+    return models.WeightBundle(spec, random_bn_stats(spec, seed=12, init_seed=11))
 
 
 @pytest.fixture(scope="session")
 def fcn_bundle_small():
-    bundle = models.init_bundle(models.build_fcn_vggish(3), init="random", seed=21)
-    return random_bn_stats(bundle, seed=22)
+    spec = models.build_fcn_vggish(3)
+    return models.WeightBundle(spec, random_bn_stats(spec, seed=22, init_seed=21))
 
 
 @pytest.fixture()

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_bn_stats, run_cli
+from conftest import random_bn_stats, run_cli, unfolded_forward
 from sawnet import bundle, evaluation, frontend, models, nn, transfer
 from sawnet.errors import FormatError, ValidationError
 from sawnet.wavio import encode_wav
@@ -121,12 +121,14 @@ def test_c04_nn_oracle_equivalence():
             got = nn.conv2d_same(x[None], nn.ConvParams(kernels, bias))[0]
             assert np.abs(got - conv2d_reference(x, kernels, bias)).max() < 1e-6
 
-        unfolded = random_bn_stats(
-            models.init_bundle(models.build_aug_vggish(50), init="random", seed=401),
-            seed=402)
-        folded = models.fold_batchnorm(unfolded)
+        # the bundle runs its folded network; the reference applies each batch
+        # norm to its conv's output, on the stored tensors
+        spec = models.build_aug_vggish(50)
+        stored = random_bn_stats(spec, seed=402, init_seed=401)
+        folded = models.WeightBundle(spec, dict(stored))
         patches = rng.normal(0, 1, (100, 96, 64))
-        a = nn.softmax(models.forward_batch(unfolded, patches))
+        a = nn.softmax(np.stack([unfolded_forward(spec, stored, folded.epsilon, p[None])
+                                 for p in patches]))
         b = nn.softmax(models.forward_batch(folded, patches))
         assert np.abs(a - b).max() < 1e-4
         assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_bn_stats, run_cli, sine_clip
+from conftest import random_bn_stats, run_cli, save_unfolded, sine_clip
 from sawnet import models, transfer
 from sawnet.bundle import (load_bundle, read_container, save_bundle, save_spectrogram,
                            write_container)
@@ -108,19 +108,23 @@ class TestFeaturize:
 
 
 class TestInfo:
+    """`info` shows the network that runs: each batch norm folded into its conv."""
+
     def test_reports_parameter_count(self, tmp_path):
+        # 4,647,346 stored, less the 2 * 1,728 batch-norm gammas and betas
         path = tmp_path / "aug50.csnw"
         save_bundle(models.init_bundle(models.build_aug_vggish(50), init="zeros"), path)
         result = run_cli("info", "--model", path)
         assert result.returncode == 0
-        assert "trainable_params: 4647346" in result.stdout
+        assert "trainable_params: 4643890" in result.stdout
         assert "arch_id: aug_vggish" in result.stdout
 
     def test_fcn_parameter_count(self, tmp_path):
+        # 18,716,338 stored, less the 2 * 3,776 batch-norm gammas and betas
         path = tmp_path / "fcn50.csnw"
         save_bundle(models.init_bundle(models.build_fcn_vggish(50), init="zeros"), path)
         result = run_cli("info", "--model", path)
-        assert "trainable_params: 18716338" in result.stdout
+        assert "trainable_params: 18708786" in result.stdout
 
     def test_compute_dtype_and_weight_bytes(self, tmp_path):
         # a loaded bundle holds its weights as the file stores them
@@ -132,19 +136,21 @@ class TestInfo:
         assert f"weight_bytes: {header['payload_bytes']}" in lines
 
     def test_layer_lines(self, tmp_path, model_dir):
-        lines = run_cli("info", "--model", model_dir / "rand4.csnw").stdout.splitlines()
-        assert "  conv1    conv            1->64 3x3" in lines
-        assert "  bn1      batchnorm       64 channels +relu" in lines
-        assert "  pool1    maxpool         " in lines
-        assert "  gap      global_avg_pool " in lines
-        assert "  fc1      dense           512->256 +relu" in lines
-        assert "  head     dense           256->4" in lines
-        path = tmp_path / "folded.csnw"
-        save_bundle(models.fold_batchnorm(models.init_bundle(models.build_fcn_vggish(2))), path)
-        lines = run_cli("info", "--model", path).stdout.splitlines()
-        assert "folded: true" in lines
-        assert "  conv8    conv            1024->1024 3x3 +relu" in lines
-        assert "  clf      conv            1024->2 1x1" in lines
+        aug = run_cli("info", "--model", model_dir / "rand4.csnw").stdout.splitlines()
+        assert "  conv1    conv            1->64 3x3 +relu" in aug
+        assert "  pool1    maxpool         " in aug
+        assert "  gap      global_avg_pool " in aug
+        assert "  fc1      dense           512->256 +relu" in aug
+        assert "  head     dense           256->4" in aug
+        # a file in the stored conv+BN layout shows the same running network
+        spec = models.build_fcn_vggish(2)
+        path = save_unfolded(tmp_path / "unfolded.csnw", spec, random_bn_stats(spec))
+        fcn = run_cli("info", "--model", path).stdout.splitlines()
+        assert "  conv8    conv            1024->1024 3x3 +relu" in fcn
+        assert "  clf      conv            1024->2 1x1" in fcn
+        assert "trainable_params: 18659586" in fcn
+        for lines in (aug, fcn):
+            assert not any("batchnorm" in line or line.startswith("folded") for line in lines)
 
     def test_truncated_file_exits_2(self, tmp_path, model_dir):
         broken = tmp_path / "trunc.csnw"
@@ -329,7 +335,7 @@ class TestDetectPathIdentity:
             (wavs / f"clip{rate}.wav").write_bytes(data)
             specs.append(log_mel_spectrogram(resample_to_16k(decode_wav(data))))
         build = models.build_aug_vggish if arch == "aug" else models.build_fcn_vggish
-        net = random_bn_stats(models.init_bundle(build(2), init="random", seed=91), seed=92)
+        net = models.WeightBundle(build(2), random_bn_stats(build(2), seed=92, init_seed=91))
         _calibrate_last_layer(net, specs)
         model = tmp_path / "model.csnw"
         save_bundle(net, model)

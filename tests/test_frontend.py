@@ -2,6 +2,7 @@
 resampling, and patch framing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ class TestLogMelSpectrogram:
 
         first, second = run(data), run(data)
         assert np.array_equal(first, second)
+
+    def test_framing_peak_memory(self):
+        # frames are strided views of the samples, windowed once; an int64
+        # [frames, 400] gather index and its gathered copy took 1,000 frames
+        # to a 15.3 MB peak
+        n = frontend.FRAME_LEN + 999 * frontend.FRAME_HOP
+        clip = frontend.AudioClip(np.random.default_rng(4).normal(0, 0.1, n), 16000)
+        frontend.log_mel_spectrogram(clip)  # first-call allocations (the filterbank)
+        tracemalloc.start()
+        try:
+            assert frontend.log_mel_spectrogram(clip).num_frames == 1000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13e6
 
 
 class TestExtractPatches:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import float64_copy, random_bn_stats, random_patch, random_patches
+from conftest import float64_copy, random_bn_stats, random_patch, random_patches, unfolded_forward
 from sawnet import frontend, models, nn
-from sawnet.errors import ConfigError, StructureError, ValidationError
+from sawnet.errors import ConfigError, ValidationError
 
 
 def _probs(bundle, patch):
@@ -116,58 +116,129 @@ class TestEmbeddings:
 
 
 class TestFoldBatchnorm:
+    """A bundle holds and runs its folded network: each conv+BN pair is one conv."""
+
     def test_identity_fold_keeps_conv(self):
-        bundle = models.init_bundle(models.build_aug_vggish(2), init="random", seed=1,
-                                    epsilon=1e-12)
-        folded = models.fold_batchnorm(bundle)
-        assert folded.folded
-        np.testing.assert_allclose(folded.params["conv1/kernels"],
-                                   bundle.params["conv1/kernels"], atol=1e-9)
-        np.testing.assert_allclose(folded.params["conv1/bias"],
-                                   bundle.params["conv1/bias"], atol=1e-9)
+        # init_bundle's identity statistics, with a negligible epsilon
+        spec = models.build_aug_vggish(2)
+        bundle = models.init_bundle(spec, init="random", seed=1, epsilon=1e-12)
+        drawn = random_bn_stats(spec, init_seed=1)
+        assert not any(l.kind == "batchnorm" for l in bundle.spec.layers)
+        assert not any(key.startswith("bn") for key in bundle.params)
+        np.testing.assert_allclose(bundle.params["conv1/kernels"], drawn["conv1/kernels"],
+                                   atol=1e-9)
+        np.testing.assert_allclose(bundle.params["conv1/bias"], drawn["conv1/bias"], atol=1e-9)
 
     def test_single_channel_fold_formula(self):
-        bundle = models.init_bundle(models.build_aug_vggish(2), init="random", seed=2,
-                                    epsilon=1e-12)
-        bundle.params["bn1/gamma"] = np.full(64, 2.0, np.float32)
-        bundle.params["bn1/beta"] = np.full(64, 3.0, np.float32)
-        bundle.validate()
-        folded = models.fold_batchnorm(bundle)
-        np.testing.assert_allclose(folded.params["conv1/kernels"],
-                                   2.0 * bundle.params["conv1/kernels"], rtol=1e-6)
-        np.testing.assert_allclose(folded.params["conv1/bias"],
-                                   2.0 * bundle.params["conv1/bias"] + 3.0, rtol=1e-6)
+        spec = models.build_aug_vggish(2)
+        stored = random_bn_stats(spec, init_seed=2)
+        stored.update({"bn1/gamma": np.full(64, 2.0, np.float32),
+                       "bn1/beta": np.full(64, 3.0, np.float32),
+                       "bn1/mean": np.zeros(64, np.float32), "bn1/var": np.ones(64, np.float32),
+                       "conv1/bias": np.full(64, 0.5, np.float32)})
+        bundle = models.WeightBundle(spec, dict(stored), epsilon=1e-12)
+        np.testing.assert_allclose(bundle.params["conv1/kernels"],
+                                   2.0 * stored["conv1/kernels"], rtol=1e-6)
+        np.testing.assert_allclose(bundle.params["conv1/bias"], np.full(64, 4.0), rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fold_computed_in_float64_and_rounded_to_the_bundle_dtype(self, dtype):
+        spec = models.build_aug_vggish(2)
+        stored = {k: v.astype(dtype) for k, v in random_bn_stats(spec, 3, init_seed=4).items()}
+        bundle = models.WeightBundle(spec, dict(stored))
+        assert bundle.dtype == dtype
+        for conv, bn in [("conv1", "bn1"), ("conv6", "bn6")]:
+            t = {k: stored[f"{bn}/{k}"].astype(np.float64)
+                 for k in ("gamma", "beta", "mean", "var")}
+            scale = t["gamma"] / np.sqrt(t["var"] + bundle.epsilon)
+            kernels = stored[f"{conv}/kernels"].astype(np.float64) * scale[:, None, None, None]
+            bias = (stored[f"{conv}/bias"].astype(np.float64) - t["mean"]) * scale + t["beta"]
+            for got, want in ((bundle.params[f"{conv}/kernels"], kernels),
+                              (bundle.params[f"{conv}/bias"], bias)):
+                assert got.dtype == dtype and not got.flags.writeable
+                np.testing.assert_array_equal(got, want.astype(dtype))
 
     def test_forward_equivalence(self, aug_bundle_small):
-        folded = models.fold_batchnorm(aug_bundle_small)
-        assert not any(l.kind == "batchnorm" for l in folded.spec.layers)
+        stored = random_bn_stats(models.build_aug_vggish(4), seed=12, init_seed=11)
         for seed in range(5):
             patch = random_patch(seed)
-            unfolded_probs = _probs(aug_bundle_small, patch)
-            folded_probs = _probs(folded, patch)
+            unfolded_probs = nn.softmax(unfolded_forward(
+                models.build_aug_vggish(4), stored, aug_bundle_small.epsilon, patch[None]))
+            folded_probs = _probs(aug_bundle_small, patch)
             assert np.abs(unfolded_probs - folded_probs).max() < 1e-4
             assert int(np.argmax(unfolded_probs)) == int(np.argmax(folded_probs))
 
     def test_fcn_fold_keeps_embedding_path(self, fcn_bundle_small):
-        folded = models.fold_batchnorm(fcn_bundle_small)
-        assert folded.spec.embedding_layer == "conv8"
+        assert models.build_fcn_vggish(3).embedding_layer == "bn8"
+        assert fcn_bundle_small.spec.embedding_layer == "conv8"
+        stored = random_bn_stats(models.build_fcn_vggish(3), seed=22, init_seed=21)
         patch = random_patch(6)[None]
-        a = models.forward_embedding(fcn_bundle_small, patch)
-        b = models.forward_embedding(folded, patch)
+        a = unfolded_forward(models.build_fcn_vggish(3), stored, fcn_bundle_small.epsilon,
+                             patch, stop_after="bn8").mean(axis=(1, 2))
+        b = models.forward_embedding(fcn_bundle_small, patch)[0]
         assert np.abs(a - b).max() < 1e-4
 
     def test_bn_without_conv_rejected(self):
-        layers = (
-            models.LayerDef("pool1", "maxpool"),
-            models.LayerDef("bn1", "batchnorm", channels=1, relu=True),
-            models.LayerDef("gap", "global_avg_pool"),
-            models.LayerDef("head", "dense", in_units=1, out_units=2),
-        )
-        spec = models.ModelSpec(arch_id="aug_vggish", num_classes=2, layers=layers,
-                                embedding_layer="gap", embedding_dim=1)
-        bundle = models.init_bundle(spec, init="zeros")
-        with pytest.raises(StructureError):
-            models.fold_batchnorm(bundle)
+        # a batch norm that does not directly scale a conv's output cannot be
+        # folded: after a pool, or after the conv's own ReLU
+        for first in (models.LayerDef("pool1", "maxpool"),
+                      models.LayerDef("conv1", "conv", in_ch=1, out_ch=1, kernel=3, relu=True)):
+            spec = models.ModelSpec("aug_vggish", 2, (
+                first, models.LayerDef("bn1", "batchnorm", channels=1, relu=True),
+                models.LayerDef("gap", "global_avg_pool"),
+                models.LayerDef("head", "dense", in_units=1, out_units=2)), "gap", 1)
+            with pytest.raises(ValidationError, match="layer bn1: batch norm does not follow"):
+                models.init_bundle(spec, init="zeros")
+
+    def test_stop_after_names_a_running_layer(self, aug_bundle_small):
+        x = random_patch(1)[None, None]
+        with pytest.raises(ValidationError, match="no layer named 'bn1'"):
+            models.run_layers(aug_bundle_small, x, "bn1")
+        assert models.run_layers(aug_bundle_small, x, "conv1").min() >= 0  # conv1 owns bn1's ReLU
+
+    def test_folded_layout_is_kept_as_given(self, aug_bundle_small):
+        params = dict(aug_bundle_small.params)
+        rebuilt = models.WeightBundle(aug_bundle_small.spec, params)
+        assert rebuilt.spec == aug_bundle_small.spec
+        assert all(params[k] is v for k, v in aug_bundle_small.params.items())
+
+
+@pytest.fixture(scope="module")
+def stored_and_folded():
+    """(stored tensors, folded bundle) per (arch, dtype); the last one made is kept."""
+    cases = {}
+
+    def get(arch, dtype):
+        if (arch, dtype) not in cases:
+            cases.clear()
+            spec = models.build_arch(arch, 3)
+            stored = random_bn_stats(spec, seed=31, init_seed=32)
+            cases[arch, dtype] = stored, models.WeightBundle(
+                spec, {k: v.astype(dtype) for k, v in stored.items()})
+        return cases[arch, dtype]
+    return get
+
+
+class TestFoldedForwardGate:
+    """The folded forward against the unfolded float64 reference on the stored tensors."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", [models.ARCH_AUG_VGGISH, models.ARCH_FCN_VGGISH])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6))
+    def test_within_1e4_of_unfolded_reference(self, stored_and_folded, arch, dtype, seeds):
+        stored, bundle = stored_and_folded(arch, dtype)
+        assert bundle.dtype == dtype
+        patches = random_patches(seeds)
+        got = models.forward_batch(bundle, patches)
+        want = np.stack([unfolded_forward(models.build_arch(arch, 3), stored, bundle.epsilon,
+                                          patch[None]) for patch in patches])
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+        top_two = np.sort(want, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-4
+        assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
 
 
 class TestBundleValidation:
@@ -204,7 +275,8 @@ class TestBundleValidation:
 
 @pytest.fixture(scope="module")
 def aug_folded_small(aug_bundle_small):
-    return models.fold_batchnorm(aug_bundle_small)
+    """The same network built from its already-folded tensors."""
+    return models.WeightBundle(aug_bundle_small.spec, dict(aug_bundle_small.params))
 
 
 @pytest.fixture(scope="module")
@@ -244,11 +316,12 @@ class TestForwardBatch:
         np.testing.assert_allclose(models.run_layers(bundle, patches[:, None]), logits,
                                    rtol=0, atol=1e-9)
 
-    def test_batch_size_rule(self, aug_bundle_small, aug_folded_small, fcn_bundle_small):
+    def test_batch_size_rule(self, aug_bundle_small, aug_folded_small, fcn_bundle_small,
+                             fcn_folded_small):
         assert models.batch_size(aug_bundle_small) == 1
         assert models.batch_size(aug_folded_small) == 1
         assert models.batch_size(fcn_bundle_small) > 1
-        assert models.batch_size(models.fold_batchnorm(fcn_bundle_small)) > 1
+        assert models.batch_size(fcn_folded_small) > 1
 
     def test_batched_embeddings(self, fcn_bundle_small):
         patches = random_patches(range(5))
@@ -308,13 +381,13 @@ class TestForwardBatch:
             tracemalloc.stop()
 
     def test_in_place_bn_relu_peak(self, as_float64):
-        # a copy of bn1's 12.6 MB input map, plus one more for its ReLU, took
-        # the peak to 36 MB; conv5 and conv6 now run 4 patches as 2 products of
-        # 2 (their kernels outweigh twice a 2-patch im2col block), 18.2 MB
+        # ReLU writes into conv1's 12.6 MB map (a copy for it took the peak
+        # past 24 MB); conv5 and conv6 run 4 patches as 2 products of 2
+        # (their kernels outweigh twice a 2-patch im2col block)
         assert self._four_patch_peak(as_float64("fcn_bundle_small")) <= 20e6
 
     def test_in_place_bn_relu_peak_float32(self, fcn_bundle_small):
-        # half the float64 path's maps and im2col, 9.1 MB
+        # half the float64 path's maps and im2col
         assert fcn_bundle_small.dtype == np.float32
         assert self._four_patch_peak(fcn_bundle_small) <= 10e6
 
@@ -334,30 +407,25 @@ class TestForwardBatch:
         emb = bundle.spec.embedding_layer
         in_place = [models.forward_batch(bundle, patches, stop_after=s) for s in (None, emb)]
 
-        def batchnorm_into_new_array(x, p):
-            dtype = np.result_type(x, p.gamma)
-            return (x * p.scale.astype(dtype)[:, None, None]
-                    + p.shift.astype(dtype)[:, None, None])
-
-        monkeypatch.setattr(nn, "batchnorm_infer", batchnorm_into_new_array)
         monkeypatch.setattr(nn, "relu", lambda x: np.maximum(x, 0))
         for got, stop in zip(in_place, (None, emb)):
             np.testing.assert_array_equal(got, models.forward_batch(bundle, patches, stop))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_run_layers_leaves_its_input_untouched(self, aug_bundle_small, dtype):
-        # a chain that starts with batch norm + ReLU would overwrite the input
-        bn_first = random_bn_stats(models.init_bundle(models.ModelSpec(
-            models.ARCH_AUG_VGGISH, 2,
-            (models.LayerDef("bn", "batchnorm", relu=True, channels=1),
-             models.LayerDef("gap", "global_avg_pool"),
-             models.LayerDef("fc", "dense", in_units=1, out_units=2)),
-            "gap", 1), init="random", seed=1))
+        # a chain that starts with an in-place layer would overwrite the input,
+        # and the one such chain, batch norm first, cannot be folded
+        with pytest.raises(ValidationError, match="layer bn: batch norm does not follow"):
+            models.init_bundle(models.ModelSpec(
+                models.ARCH_AUG_VGGISH, 2,
+                (models.LayerDef("bn", "batchnorm", relu=True, channels=1),
+                 models.LayerDef("gap", "global_avg_pool"),
+                 models.LayerDef("fc", "dense", in_units=1, out_units=2)),
+                "gap", 1), init="random", seed=1)
         x = random_patches(range(2))[:, None].astype(dtype)
         before = x.copy()
-        for bundle, stop in ((bn_first, "bn"), (bn_first, None), (aug_bundle_small, "bn1"),
-                             (aug_bundle_small, None)):
-            models.run_layers(bundle, x, stop)
+        for stop in ("conv1", None):
+            models.run_layers(aug_bundle_small, x, stop)
             np.testing.assert_array_equal(x, before)
 
     def test_empty_and_malformed_input_rejected(self, aug_bundle_small):
@@ -415,7 +483,7 @@ class TestFloat32Forward:
         bundle = as_float64("aug_bundle_small")
         x = random_patches(range(2))[:, None]
         before = x.copy()
-        for stop in ("conv1", "bn1", None):
+        for stop in ("conv1", "pool1", None):
             models.run_layers(bundle, x, stop)
             np.testing.assert_array_equal(x, before)
 
@@ -449,20 +517,21 @@ class TestBundleDtype:
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("key", ["conv2/kernels", "bn3/var", "fc1/bias"])
     def test_validation_rejects(self, key):
-        # the layer's params object scans the tensor (BN's "var" is its
-        # running_var) and validation names the layer
-        bundle = models.init_bundle(models.build_aug_vggish(2), init="zeros")
-        bad = np.array(bundle.params[key], dtype=np.float32)
-        bad.flat[0] = np.nan
-        bundle.params[key] = bad
+        # the layer's params object scans the stored tensor (BN's "var" is its
+        # running_var; a conv's kernels are scanned folded) and validation
+        # names the layer
+        spec = models.build_aug_vggish(2)
+        stored = random_bn_stats(spec)
+        stored[key] = stored[key].copy()
+        stored[key].flat[0] = np.nan
         layer, suffix = key.split("/")
         name = "running_var" if suffix == "var" else suffix
         with pytest.raises(ValidationError, match=f"layer {layer}: {name} contains non-finite"):
-            bundle.validate()
+            models.WeightBundle(spec, stored)
 
 
-_OPS = {"conv": "conv2d_same", "batchnorm": "batchnorm_infer", "maxpool": "maxpool_2x2",
-        "global_avg_pool": "global_avg_pool", "dense": "dense"}
+_OPS = {"conv": "conv2d_same", "maxpool": "maxpool_2x2", "global_avg_pool": "global_avg_pool",
+        "dense": "dense"}
 
 
 class TestLayerKindTable:
@@ -514,4 +583,5 @@ class TestLayerKindTable:
 
 @pytest.fixture(scope="module")
 def fcn_folded_small(fcn_bundle_small):
-    return models.fold_batchnorm(fcn_bundle_small)
+    """The same network built from its already-folded tensors."""
+    return models.WeightBundle(fcn_bundle_small.spec, dict(fcn_bundle_small.params))

@@ -89,25 +89,43 @@ class TestConv2dSame:
         assert np.array_equal(nn.conv2d_same(x, params), nn.conv2d_same(x, params))
 
 
+def conv_bn_bundle(kernel, bias, gamma, beta, mean, var, epsilon=1e-5):
+    """A float64 bundle of a 1x1 conv (1 -> C channels) and its batch norm,
+    stored as given; ``run_layers(b, x, "conv")`` is their folded output."""
+    c = len(bias)
+    spec = models.ModelSpec("aug_vggish", 2, (
+        models.LayerDef("conv", "conv", in_ch=1, out_ch=c, kernel=1),
+        models.LayerDef("bn", "batchnorm", channels=c),
+        models.LayerDef("gap", "global_avg_pool"),
+        models.LayerDef("head", "dense", in_units=c, out_units=2)), "gap", c)
+    tensors = {"conv/kernels": np.reshape(kernel, (c, 1, 1, 1)), "conv/bias": bias,
+               "bn/gamma": gamma, "bn/beta": beta, "bn/mean": mean, "bn/var": var,
+               "head/weights": np.zeros((2, c)), "head/bias": np.zeros(2)}
+    return models.WeightBundle(spec, {k: np.asarray(v, np.float64) for k, v in tensors.items()},
+                               epsilon=epsilon)
+
+
 class TestBatchNormInfer:
+    """Batch norm at inference, as a bundle folds it into the conv before it."""
+
     def test_identity_parameters(self):
-        x = np.random.default_rng(2).normal(0, 1, (1, 2, 3, 3))
-        params = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2),
-                                    epsilon=1e-12)
-        np.testing.assert_allclose(nn.batchnorm_infer(x.copy(), params), x, atol=1e-9)
+        x = np.random.default_rng(2).normal(0, 1, (1, 1, 3, 3))
+        kernel, bias = np.array([0.5, -2.0]), np.array([1.0, -1.0])
+        bundle = conv_bn_bundle(kernel, bias, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2),
+                                epsilon=1e-12)
+        want = nn.conv2d_same(x, nn.ConvParams(kernel.reshape(2, 1, 1, 1), bias))
+        np.testing.assert_allclose(models.run_layers(bundle, x, "conv"), want, atol=1e-9)
 
     def test_worked_example(self):
         # 3 * (2 - 1) / sqrt(4) + 1 = 2.5
         x = np.full((1, 1, 1, 1), 2.0)
-        params = nn.BatchNormParams(np.array([3.0]), np.array([1.0]), np.array([1.0]),
-                                    np.array([4.0]), epsilon=1e-12)
-        assert abs(nn.batchnorm_infer(x, params)[0, 0, 0, 0] - 2.5) < 1e-9
+        bundle = conv_bn_bundle([1.0], [0.0], [3.0], [1.0], [1.0], [4.0], epsilon=1e-12)
+        assert abs(models.run_layers(bundle, x, "conv")[0, 0, 0, 0] - 2.5) < 1e-9
 
     def test_zero_gamma_gives_constant_beta(self):
         x = np.random.default_rng(3).normal(0, 5, (1, 1, 4, 4))
-        params = nn.BatchNormParams(np.zeros(1), np.array([7.0]), np.array([2.0]),
-                                    np.array([3.0]))
-        assert np.all(nn.batchnorm_infer(x, params) == 7.0)
+        bundle = conv_bn_bundle([1.5], [0.25], [0.0], [7.0], [2.0], [3.0])
+        assert np.all(models.run_layers(bundle, x, "conv") == 7.0)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ShapeError):
@@ -119,9 +137,15 @@ class TestBatchNormInfer:
             nn.BatchNormParams(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), epsilon=epsilon)
 
     def test_channel_mismatch_raises(self):
-        params = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
-        with pytest.raises(ShapeError):
-            nn.batchnorm_infer(np.zeros((1, 3, 2, 2)), params)
+        with pytest.raises(ShapeError, match="beta shape"):
+            nn.BatchNormParams(np.ones(2), np.zeros(3), np.zeros(2), np.ones(2))
+        spec = models.ModelSpec("aug_vggish", 2, (
+            models.LayerDef("conv", "conv", in_ch=1, out_ch=2, kernel=1),
+            models.LayerDef("bn", "batchnorm", channels=3),
+            models.LayerDef("gap", "global_avg_pool"),
+            models.LayerDef("head", "dense", in_units=2, out_units=2)), "gap", 2)
+        with pytest.raises(ValidationError, match="layer bn: batch norm does not follow"):
+            models.init_bundle(spec)
 
 
 class TestRelu:
@@ -139,30 +163,7 @@ class TestRelu:
 
 
 class TestInPlace:
-    """Batch norm and ReLU write their result into their input and return it."""
-
-    @staticmethod
-    def bn_params(dtype):
-        rng = np.random.default_rng(70)
-        return nn.BatchNormParams(*(rng.uniform(0.5, 1.5, 3).astype(dtype) for _ in range(4)))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_batchnorm_into_its_input(self, dtype):
-        x = np.random.default_rng(71).normal(0, 2, (2, 3, 4, 5)).astype(dtype)
-        params = self.bn_params(dtype)
-        scale = params.scale.astype(dtype)[:, None, None]
-        shift = params.shift.astype(dtype)[:, None, None]
-        want = x * scale + shift
-        got = nn.batchnorm_infer(x, params)
-        assert got is x and got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
-
-    def test_float32_map_with_float64_params_rejected(self):
-        x = np.random.default_rng(72).normal(0, 2, (1, 3, 4, 5)).astype(np.float32)
-        before = x.copy()
-        with pytest.raises(ShapeError, match="float32 map cannot hold its float64 result"):
-            nn.batchnorm_infer(x, self.bn_params(np.float64))
-        np.testing.assert_array_equal(x, before)
+    """ReLU writes its result into its input and returns it."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_relu_into_its_input(self, dtype):
@@ -295,13 +296,15 @@ class TestBatchedOperators:
         assert np.abs(got - want).max() < 1e-9
 
     def test_batchnorm_infer(self):
+        # a conv with its batch norm folded in
         rng = np.random.default_rng(61)
-        x = rng.normal(0, 1, (self.B, 3, 4, 4))
-        params = nn.BatchNormParams(rng.uniform(0.5, 1.5, 3), rng.normal(0, 1, 3),
-                                    rng.normal(0, 1, 3), rng.uniform(0.2, 2.0, 3))
-        np.testing.assert_array_equal(
-            nn.batchnorm_infer(x.copy(), params),
-            self.per_item(lambda m: nn.batchnorm_infer(m, params), x))
+        x = rng.normal(0, 1, (self.B, 1, 4, 4))
+        bundle = conv_bn_bundle(rng.normal(0, 1, 3), rng.normal(0, 1, 3),
+                                rng.uniform(0.5, 1.5, 3), rng.normal(0, 1, 3),
+                                rng.normal(0, 1, 3), rng.uniform(0.2, 2.0, 3))
+        np.testing.assert_allclose(
+            models.run_layers(bundle, x, "conv"),
+            self.per_item(lambda m: models.run_layers(bundle, m, "conv"), x), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("op", [nn.relu, nn.maxpool_2x2, nn.global_avg_pool])
     def test_parameterless_map_operators(self, op):
@@ -320,20 +323,16 @@ class TestBatchedOperators:
         z = np.random.default_rng(64).normal(0, 10, (self.B, 6))
         np.testing.assert_array_equal(nn.softmax(z), np.stack([nn.softmax(r) for r in z]))
 
-    @pytest.mark.parametrize("op", [nn.batchnorm_infer, nn.maxpool_2x2, nn.global_avg_pool])
+    @pytest.mark.parametrize("op", [nn.maxpool_2x2, nn.global_avg_pool])
     def test_other_ranks_rejected(self, op):
-        args = (nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)),) \
-            if op is nn.batchnorm_infer else ()
         for shape in ((2, 4), (1, 1, 2, 4, 4)):
             with pytest.raises(ShapeError):
-                op(np.zeros(shape), *args)
+                op(np.zeros(shape))
 
     def test_single_item_ranks_rejected(self, aug_bundle_small):
         # a lone [C, H, W] map or [K] vector is no longer read as a batch of one
         conv = nn.ConvParams(np.zeros((2, 2, 3, 3)), np.zeros(2))
-        bn = nn.BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
-        for op in (lambda m: nn.conv2d_same(m, conv), lambda m: nn.batchnorm_infer(m, bn),
-                   nn.maxpool_2x2, nn.global_avg_pool):
+        for op in (lambda m: nn.conv2d_same(m, conv), nn.maxpool_2x2, nn.global_avg_pool):
             with pytest.raises(ShapeError, match=r"\[B, C, H, W\]"):
                 op(np.zeros((2, 4, 4)))
         with pytest.raises(ShapeError, match=r"\[B, K\]"):

@@ -292,8 +292,8 @@ class TestExtractEmbeddings:
         np.testing.assert_array_equal(eset.items[0].vector, manual)
 
     def test_batched_fcn_clip_matches_single_patches(self):
-        bundle = random_bn_stats(
-            models.init_bundle(models.build_fcn_vggish(2), init="random", seed=36), seed=37)
+        spec = models.build_fcn_vggish(2)
+        bundle = models.WeightBundle(spec, random_bn_stats(spec, seed=37, init_seed=36))
         assert models.batch_size(bundle) < 5  # the clip's patches span two chunks
         clip = frontend.AudioClip(
             np.random.default_rng(38).uniform(-0.3, 0.3, 80000).astype(np.float32),
