@@ -12,6 +12,9 @@ of input files processed and failed, and for `infer` and `detect` the
 `compute_dtype` the network ran in) with the timestamp isolated in one field
 so repeated runs are byte-comparable. WAV inputs are read a block at a time:
 memory grows with a recording's length only by the frames `featurize` writes.
+`infer` runs the patches of consecutive inputs through shared network calls
+of `models.tail_batch_size` patches; each input is still read on its own,
+fails on its own and is averaged over its own patches only.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .errors import SawnetError
 from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
 from .frontend import (LogMelSpectrogram, extract_patches, log_mel_blocks, patch_blocks,
                        resampled_length)
-from .models import WeightBundle, batch_size, count_params, describe_layer, forward_batch
+from .models import (WeightBundle, batch_size, count_params, describe_layer, forward_batch,
+                     tail_batch_size)
 from .nn import softmax
 from .transfer import TrainConfig, load_embeddings, run_cv, train_head
 from .wavio import WavReader
@@ -184,30 +188,59 @@ def _emit_lines(lines: list[str], out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _infer_patches(path: Path, block: int):
+    """(clip id, patches) pairs of one `infer` input: a WAV `block` patches at
+    a time, a feature container whole."""
+    if _is_wav(path):
+        with WavReader(path) as wav:
+            for patches in patch_blocks(wav, block):
+                yield path.stem, patches
+    else:
+        spec = load_spectrogram(path)
+        yield spec.source_id or path.stem, extract_patches(spec)
+
+
 def cmd_infer(args) -> int:
     bundle = load_bundle(args.model)
     inputs = _collect_inputs(args.inputs, (".wav", ".csnw"))
-    lines = []
+    per_call = tail_batch_size(bundle)
+    pending: list[tuple[int, np.ndarray]] = []  # (input index, patches) read but not yet run
+    rows: dict[int, list[np.ndarray]] = {}      # input index -> its probability rows so far
+    clip_ids: dict[int, str] = {}
+
+    def run() -> None:
+        probs = softmax(forward_batch(bundle, np.concatenate([p for _, p in pending])))
+        start = 0
+        for i, patches in pending:
+            rows[i].append(probs[start:start + len(patches)])
+            start += len(patches)
+        pending.clear()
+
     failures = 0
-    for path in inputs:
+    for i, path in enumerate(inputs):
+        rows[i] = []
         try:
-            if _is_wav(path):
-                clip_id = path.stem
-                with WavReader(path) as wav:
-                    per_patch = [softmax(forward_batch(bundle, patches))
-                                 for patches in patch_blocks(wav, batch_size(bundle))]
-            else:
-                spec = load_spectrogram(path)
-                clip_id = spec.source_id or path.stem
-                per_patch = [softmax(forward_batch(bundle, extract_patches(spec)))]
-            probs = np.concatenate(per_patch).mean(axis=0)
+            for clip_id, patches in _infer_patches(path, batch_size(bundle)):
+                clip_ids[i] = clip_id
+                while len(patches):
+                    room = per_call - sum(len(p) for _, p in pending)
+                    pending.append((i, patches[:room]))
+                    patches = patches[room:]
+                    if len(pending[-1][1]) == room:
+                        run()
         except (SawnetError, OSError) as e:
             _report_failure("infer", path, e)
             failures += 1
-            continue
+            del rows[i]
+            pending[:] = [(j, p) for j, p in pending if j != i]
+    if pending:
+        run()
+    lines = []
+    for i, blocks in rows.items():
+        probs = np.concatenate(blocks).mean(axis=0)
         formatted = ", ".join(f"{p:.6f}" for p in probs)
         lines.append(
-            f'{{"clip_id": {json.dumps(clip_id)}, '
+            f'{{"clip_id": {json.dumps(clip_ids[i])}, '
             f'"predicted": {int(np.argmax(probs))}, "probs": [{formatted}]}}'
         )
     _emit_lines(lines, args.out)

@@ -33,8 +33,11 @@ of `batch_size` patches, and `forward_embedding` does the same up to the
 embedding; one patch `p` is ``p[None]``. A chunk shares one pass over every
 weight among its patches but holds all of their activations at once, so
 batching pays only where the weights outweigh one patch's activations:
-fcn_vggish's 1024-channel kernels on a 3x2 map run 4 patches per call,
-aug_vggish runs 1.
+fcn_vggish runs 4 patches per call, aug_vggish 1. The layers after the last
+max pool are weighed on their own (`tail_batch_size`): fcn_vggish's conv7
+and conv8 hold 56.6 MB of its 75 MB but see a 3x2 map, so `forward_batch`
+runs that tail once per 25 patches, after their first stage; aug_vggish's
+tail gets 1, and it runs in one stage.
 """
 
 from __future__ import annotations
@@ -429,8 +432,13 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValidationError(f"network input must be a [B, C, H, W] batch, got shape {x.shape}")
-    x = x.astype(bundle.dtype)
-    for layer in bundle.spec.layers:
+    return _run(bundle, bundle.spec.layers, x.astype(bundle.dtype), stop_after)
+
+
+def _run(bundle: WeightBundle, layers: tuple[LayerDef, ...], x: np.ndarray,
+         stop_after: str | None) -> np.ndarray:
+    """`layers` on a batch `x` of `bundle.dtype` that the caller gives up."""
+    for layer in layers:
         x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name))
         if layer.relu:
             x = nn.relu(x)
@@ -441,8 +449,29 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
     return x
 
 
+def _tail_start(spec: ModelSpec) -> int:
+    """Index of the first layer after the last max pool; the layer count when none."""
+    pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
+    return pools[-1] + 1 if pools else len(spec.layers)
+
+
+def _patches_per_call(bundle: WeightBundle, start: int, im2col: bool) -> int:
+    """``max(1, weight bytes // (10 * activation bytes))`` over the layers from
+    `start` on: their weights against the largest of their input and outputs
+    for one 96x64 patch and, with `im2col`, each conv's im2col block."""
+    layers = bundle.spec.layers[start:]
+    shapes = _activation_shapes(bundle.spec)[start:]  # each layer's input, then the output
+    sizes = [math.prod(s) for s in shapes]
+    if im2col:
+        sizes += [l.kernel ** 2 * math.prod(s) for l, s in zip(layers, shapes) if l.kind == "conv"]
+    names = {l.name for l in layers}
+    weight_bytes = sum(a.nbytes for key, a in bundle.params.items()
+                       if key.split("/", 1)[0] in names)
+    return max(1, weight_bytes // (_WEIGHTS_PER_ACTIVATION * max(sizes) * bundle.dtype.itemsize))
+
+
 def batch_size(bundle: WeightBundle) -> int:
-    """Patches per `run_layers` call in `forward_batch`.
+    """Patches per `run_layers` call in `forward_batch`'s first stage.
 
     ``max(1, weight bytes // (10 * activation bytes))``, where the activation
     is the largest layer output of one 96x64 patch in `bundle.dtype`. Weights
@@ -451,11 +480,24 @@ def batch_size(bundle: WeightBundle) -> int:
     `nn.conv2d_same` splits the batch again per layer, so that a layer's
     patches share one product only while its kernels outweigh twice their
     im2col block; the two rules together decide how patches share the weight
-    passes.
+    passes up to the last max pool.
     """
-    activation_bytes = (max(map(math.prod, _activation_shapes(bundle.spec)))
-                        * bundle.dtype.itemsize)
-    return max(1, bundle.nbytes // (_WEIGHTS_PER_ACTIVATION * activation_bytes))
+    return _patches_per_call(bundle, 0, im2col=False)
+
+
+def tail_batch_size(bundle: WeightBundle) -> int:
+    """Patches per call of the layers after the last max pool in `forward_batch`.
+
+    The same weight-to-activation rule as `batch_size`, applied to those
+    layers alone, with each conv's im2col block counted as one of its
+    activations: conv2d_same's own split would let conv8's im2col grow to
+    half its kernels. It gives 25 for fcn_vggish, whose conv7 and conv8
+    (56.6 MB of its 75 MB in float32) see a 3x2 map, in float32 and float64
+    alike, and 1 for aug_vggish, whose tail is two small dense layers.
+    `sawnet infer` gathers the patches of consecutive inputs into calls of
+    this many.
+    """
+    return _patches_per_call(bundle, _tail_start(bundle.spec), im2col=True)
 
 
 def forward_batch(bundle: WeightBundle, patches: np.ndarray,
@@ -463,18 +505,36 @@ def forward_batch(bundle: WeightBundle, patches: np.ndarray,
     """`run_layers` over an ``[N, H, W]`` array of patches: one output per patch,
     stacked on axis 0. A single patch `p` is ``p[None]``.
 
-    Patches run in chunks of `batch_size`, each sliced straight out of
-    `patches`, so only one chunk's activations are alive at a time. Row i is
-    what patch i gives alone, up to the last-bit rounding of a batched matrix
-    product.
+    Where `tail_batch_size` exceeds `batch_size` (fcn_vggish), the layers run
+    in two stages. The patches go in groups of `tail_batch_size`; within a
+    group, the layers up to the last max pool run in `run_layers` calls of
+    `batch_size` patches, each sliced straight out of `patches`, and the
+    layers after it run once over the whole group's pooled maps, so the
+    tail's kernels are streamed once per group. Only one group's pooled maps
+    and one call's activations are alive at a time, so memory does not grow
+    with N. Otherwise (aug_vggish, or a `stop_after` at or before the last
+    pool) every layer runs in the `run_layers` calls. Row i is what patch i
+    gives alone, up to the last-bit rounding of a batched matrix product.
     """
     patches = np.asarray(patches)
     if patches.ndim != 3 or not len(patches):
         raise ValidationError("forward_batch needs an [N >= 1, H, W] array of patches, "
                               f"got shape {patches.shape}")
     n = batch_size(bundle)
-    outs = [run_layers(bundle, patches[i:i + n, None], stop_after)
-            for i in range(0, len(patches), n)]
+    start = _tail_start(bundle.spec)
+    tail = bundle.spec.layers[start:]
+    group = _patches_per_call(bundle, start, im2col=True)
+    if group > n and (stop_after is None or any(l.name == stop_after for l in tail)):
+        pool = bundle.spec.layers[start - 1].name
+        outs = []
+        for g in range(0, len(patches), group):
+            chunks = patches[g:g + group]
+            pooled = np.concatenate([run_layers(bundle, chunks[i:i + n, None], pool)
+                                     for i in range(0, len(chunks), n)])
+            outs.append(_run(bundle, tail, pooled, stop_after))
+    else:
+        outs = [run_layers(bundle, patches[i:i + n, None], stop_after)
+                for i in range(0, len(patches), n)]
     return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
 

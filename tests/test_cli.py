@@ -11,7 +11,8 @@ from sawnet import models, transfer
 from sawnet.bundle import (load_bundle, read_container, save_bundle, save_spectrogram,
                            write_container)
 from sawnet.evaluation import score_spectrogram
-from sawnet.frontend import extract_patches, log_mel_spectrogram, resample_to_16k
+from sawnet.frontend import (LogMelSpectrogram, extract_patches, log_mel_spectrogram,
+                             resample_to_16k)
 from sawnet.wavio import decode_wav, encode_wav
 
 
@@ -375,6 +376,51 @@ class TestInfer:
         assert abs(sum(record["probs"]) - 1.0) < 1e-4
         assert record["predicted"] == int(np.argmax(record["probs"]))
 
+
+    def test_inputs_share_calls_and_print_what_each_prints_alone(self, tmp_path):
+        # fcn_vggish runs its tail on 25 patches at a time, gathered across
+        # inputs; in this order the calls hold 10 + 15, then 5 + 20, then
+        # 10 + 9 + 6 patches, the last 6 from a WAV that fails at its third
+        # block, and the file's rows are dropped from a call they shared
+        rng = np.random.default_rng(93)
+        inputs, specs = [], []
+        for name, patches in (("a10", 10), ("c20", 20), ("d30", 30)):
+            spec = LogMelSpectrogram(rng.normal(-4, 2, (96 * patches, 64)).astype(np.float32),
+                                     name)
+            save_spectrogram(tmp_path / f"{name}.csnw", spec)
+            inputs.append(tmp_path / f"{name}.csnw")
+            specs.append(spec)
+        corrupt = tmp_path / "b_corrupt.csnw"
+        corrupt.write_bytes((tmp_path / "a10.csnw").read_bytes()[:100])
+        good = 0.3 * np.sin(2 * np.pi * 700 * np.arange(9 * 16000) / 16000)
+        good += rng.normal(0, 0.05, good.shape)
+        (tmp_path / "e_good.wav").write_bytes(encode_wav(good, 16000))
+        specs.append(log_mel_spectrogram(decode_wav((tmp_path / "e_good.wav").read_bytes())))
+        late = np.tile(good.astype(np.float32), 2)
+        late[10 * 16000] = np.nan  # in the third block of 4 patches
+        (tmp_path / "f_late_nan.wav").write_bytes(encode_wav(late, 16000, fmt="float32"))
+        inputs += [corrupt, tmp_path / "e_good.wav", tmp_path / "f_late_nan.wav"]
+        net = models.WeightBundle(models.build_fcn_vggish(3),
+                                  random_bn_stats(models.build_fcn_vggish(3), seed=95,
+                                                  init_seed=94))
+        assert models.tail_batch_size(net) == 25 and models.batch_size(net) == 4
+        _calibrate_last_layer(net, specs)
+        model = tmp_path / "fcn.csnw"
+        save_bundle(net, model)
+
+        out = tmp_path / "rows.jsonl"
+        together = run_cli("infer", "--model", model, "--out", out, *inputs)
+        alone = [run_cli("infer", "--model", model, path) for path in sorted(inputs)]
+        assert together.returncode == 2
+        assert out.read_text() == "".join(r.stdout for r in alone)
+        assert [json.loads(line)["clip_id"] for line in out.read_text().splitlines()] == \
+            ["a10", "c20", "d30", "e_good"]
+        assert together.stderr.splitlines() == [r.stderr.strip() for r in alone if r.stderr]
+        assert "b_corrupt.csnw: FormatError" in together.stderr
+        assert "f_late_nan.wav: DecodeError: payload contains non-finite samples" \
+            in together.stderr
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert (manifest["files_ok"], manifest["files_failed"]) == (4, 2)
 
 class TestTrainAndCV:
     def test_train_head_writes_container(self, tmp_path, cache_path):

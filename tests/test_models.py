@@ -437,6 +437,92 @@ class TestForwardBatch:
                 models.run_layers(aug_bundle_small, np.zeros(shape))
 
 
+class TestTwoStageForward:
+    """fcn_vggish runs the layers after pool5 once per `tail_batch_size` patches;
+    aug_vggish, whose tail is two small dense layers, runs in one stage."""
+
+    T = 25  # fcn_vggish: 56.6 MB of tail weights over 10x conv8's 221 KB im2col block
+
+    @pytest.mark.parametrize("name, expected", [("aug_bundle_small", 1), ("aug_folded_small", 1),
+                                                ("fcn_bundle_small", T), ("fcn_folded_small", T)])
+    def test_tail_batch_size_same_in_both_dtypes(self, request, as_float64, name, expected):
+        assert models.tail_batch_size(request.getfixturevalue(name)) == expected
+        assert models.tail_batch_size(as_float64(name)) == expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_single_patch_forwards(self, fcn_bundle_small, as_float64, dtype):
+        bundle = fcn_bundle_small if dtype == np.float32 else as_float64("fcn_bundle_small")
+        patches = random_patches(range(2 * self.T + 3))
+        emb = bundle.spec.embedding_layer
+        # a single-patch forward streams all 75 MB of weights, so the rows
+        # checked are those at each end of a group and of a stage-1 chunk
+        rows = (0, 1, 3, 4, self.T - 1, self.T, self.T + 4, 2 * self.T, 2 * self.T + 2)
+        singles = {i: [models.run_layers(bundle, patches[i, None, None], stop)[0]
+                       for stop in (None, emb)] for i in rows}
+        for count in (1, self.T, 2 * self.T + 3):
+            logits = models.forward_batch(bundle, patches[:count])
+            embeddings = models.forward_batch(bundle, patches[:count], stop_after=emb)
+            assert logits.dtype == embeddings.dtype == dtype
+            assert logits.shape == (count, bundle.spec.num_classes)
+            for i in (i for i in rows if i < count):
+                np.testing.assert_allclose(logits[i], singles[i][0], rtol=0, atol=1e-9)
+                np.testing.assert_allclose(embeddings[i], singles[i][1], rtol=0, atol=1e-9)
+
+    def test_tail_runs_once_per_group(self, fcn_bundle_small, monkeypatch):
+        patches = random_patches(range(2 * self.T + 3))
+        calls, convs = [], []
+
+        def record(bundle, x, stop_after=None, _run=models.run_layers):
+            calls.append((len(x), stop_after))
+            return _run(bundle, x, stop_after)
+
+        def conv(x, p, _conv=nn.conv2d_same):
+            convs.append((p.in_channels, len(x)))
+            return _conv(x, p)
+
+        monkeypatch.setattr(models, "run_layers", record)
+        monkeypatch.setattr(nn, "conv2d_same", conv)
+        models.forward_batch(fcn_bundle_small, patches)
+        # stage 1 restarts its chunks of 4 at each group of 25
+        assert calls == [(4, "pool5")] * 6 + [(1, "pool5")] + [(4, "pool5")] * 6 \
+            + [(1, "pool5")] + [(3, "pool5")]
+        assert [n for c, n in convs if c == 1024] == [25, 25, 25, 25, 3, 3]  # conv8, clf
+
+    def test_aug_makes_the_single_patch_calls(self, aug_bundle_small, monkeypatch):
+        patches = random_patches(range(3))
+        calls = []
+
+        def record(name, fn):
+            def wrapped(*args):
+                calls.append((name, [a.shape for a in args if isinstance(a, np.ndarray)],
+                              [a for a in args if a is None or isinstance(a, str)]))
+                return fn(*args)
+            monkeypatch.setattr(*((models, "run_layers") if name == "run_layers" else (nn, name)),
+                                wrapped)
+
+        record("run_layers", models.run_layers)
+        for op in ("conv2d_same", "relu", "maxpool_2x2", "global_avg_pool", "dense"):
+            record(op, getattr(nn, op))
+        models.forward_batch(aug_bundle_small, patches)
+        batched, calls[:] = list(calls), []
+        for p in patches:
+            models.run_layers(aug_bundle_small, p[None, None], None)
+        assert batched == calls and len(batched) == 3 * (1 + len(aug_bundle_small.spec.layers) + 7)
+
+    def test_memory_flat_in_the_number_of_groups(self, fcn_bundle_small):
+        patches = random_patches(range(3 * self.T))
+        models.forward_batch(fcn_bundle_small, patches[:self.T])  # first-call allocations
+        peaks = []
+        for count in (self.T, 3 * self.T):
+            tracemalloc.start()
+            try:
+                models.forward_batch(fcn_bundle_small, patches[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
 class TestFloat32Forward:
     """A float32 bundle (what every container loads as) against its float64 copy."""
 
