@@ -8,8 +8,9 @@ the others and then exit 2. Diagnostics go to stderr; machine-readable output
 goes to files or stdout.
 File outputs are accompanied by a run manifest (command, resolved config,
 tool version, input digests, for `featurize`, `infer` and `detect` the counts
-of input files processed and failed, and for `infer` and `detect` the
-`compute_dtype` the network ran in) with the timestamp isolated in one field
+of input files processed and failed, for `infer` and `detect` the
+`compute_dtype` the network ran in, and for `train-head` and `eval-cv` the
+`head_dtype` the head trained in) with the timestamp isolated in one field
 so repeated runs are byte-comparable. WAV inputs are read a block at a time:
 memory grows with a recording's length only by the frames `featurize` writes.
 `infer` runs the patches of consecutive inputs through shared network calls
@@ -37,7 +38,7 @@ from .frontend import (LogMelSpectrogram, extract_patches, log_mel_blocks, patch
 from .models import (WeightBundle, batch_size, count_params, describe_layer, forward_batch,
                      tail_batch_size)
 from .nn import softmax
-from .transfer import TrainConfig, load_embeddings, run_cv, train_head
+from .transfer import TrainConfig, head_dtype, load_embeddings, run_cv, train_head
 from .wavio import WavReader
 
 _USAGE_EXIT = 64
@@ -303,9 +304,10 @@ def cmd_train_head(args) -> int:
         "config": vars(cfg),
     }
     write_container(args.out, header, {"head/weights": params.weights, "head/bias": params.bias})
-    _write_json(Path(args.out).with_suffix(".manifest.json"),
-                _manifest("train-head", vars(cfg) | {"embeddings": args.embeddings},
-                          [Path(args.embeddings)]))
+    manifest = _manifest("train-head", vars(cfg) | {"embeddings": args.embeddings},
+                         [Path(args.embeddings)])
+    manifest["head_dtype"] = str(head_dtype(eset))
+    _write_json(Path(args.out).with_suffix(".manifest.json"), manifest)
     return 0
 
 
@@ -319,6 +321,7 @@ def cmd_eval_cv(args) -> int:
     report["seed"] = cfg.seed
     report["aggregation"] = "mean-patch-embedding"
     report["f1_variant"] = "macro"
+    report["head_dtype"] = str(head_dtype(eset))
     report["folds"] = [
         {"fold": r.fold, "accuracy": r.accuracy, "macro_f1": r.macro_f1,
          "num_clips": len(r.per_clip_scores)}

@@ -140,10 +140,19 @@ def extract_embeddings(
     return eset, errors
 
 
+def head_dtype(eset: EmbeddingSet) -> np.dtype:
+    """The dtype a head trains in on `eset`: its vectors' promoted dtype, at
+    least float32. A loaded cache trains in float32, an in-memory float64 set
+    in float64."""
+    return np.result_type(np.float32, *(i.vector.dtype for i in eset.items))
+
+
 def _design_matrix(eset: EmbeddingSet,
-                   dtype=np.float64) -> tuple[np.ndarray, np.ndarray, list[str]]:
+                   dtype=None) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Vectors, labels and clip ids sorted by clip_id, the vectors stacked in
+    `dtype`, by default `head_dtype(eset)`."""
     items = sorted(eset.items, key=lambda i: i.clip_id)
-    x = np.stack([i.vector for i in items], dtype=dtype)
+    x = np.stack([i.vector for i in items], dtype=head_dtype(eset) if dtype is None else dtype)
     y = np.array([i.label for i in items], dtype=np.int64)
     return x, y, [i.clip_id for i in items]
 
@@ -161,6 +170,9 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
     the weight gradient is formed, and that gradient goes into one buffer
     reused by every step. Up to rounding (about 1e-14 on the weights) this is
     w <- w - lr*(dCE/dw + l2*w); the objective is unchanged.
+
+    Training runs in `head_dtype(train)`, and the returned parameters are in
+    it: float32 for a loaded cache, float64 for an in-memory float64 set.
     """
     if not train.items:
         raise ConfigError("training set is empty")
@@ -169,20 +181,27 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
 
 
 def _sgd(x: np.ndarray, y: np.ndarray, rows: np.ndarray, k: int, cfg: TrainConfig) -> DenseParams:
-    """`train_head` on rows `rows` of `x`, each mini-batch widened to float64."""
+    """`train_head` on rows `rows` of `x`, computed in `x`'s dtype.
+
+    The step's softmax is written out here because `nn.softmax` returns
+    float64; on float64 rows it gives `nn.softmax`'s bits.
+    """
     n, d = len(rows), x.shape[1]
     lr = cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     limit = np.sqrt(6.0 / (d + k))
-    w = rng.uniform(-limit, limit, size=(k, d))
-    b = np.zeros(k)
+    w = rng.uniform(-limit, limit, size=(k, d)).astype(x.dtype, copy=False)
+    b = np.zeros(k, x.dtype)
     grad = np.empty_like(w)
     for _ in range(cfg.epochs):
         order = rows[rng.permutation(n)]
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = x[idx].astype(np.float64, copy=False), y[idx]
-            step = softmax(xb @ w.T + b)
+            xb, yb = x[idx], y[idx]
+            step = xb @ w.T + b
+            step -= step.max(axis=1, keepdims=True)
+            np.exp(step, out=step)
+            step /= step.sum(axis=1, keepdims=True)
             step[np.arange(len(idx)), yb] -= 1.0
             step *= lr / len(idx)
             w *= 1.0 - lr * cfg.l2
@@ -193,7 +212,7 @@ def _sgd(x: np.ndarray, y: np.ndarray, rows: np.ndarray, k: int, cfg: TrainConfi
 
 def head_loss(params: DenseParams, eset: EmbeddingSet, l2: float = 0.0) -> float:
     """Mean cross-entropy of the head on a set, plus the L2 penalty."""
-    x, y, _ = _design_matrix(eset)
+    x, y, _ = _design_matrix(eset, np.float64)
     log_probs = log_softmax(x @ params.weights.T + params.bias)
     ce = -float(np.mean(log_probs[np.arange(len(y)), y]))
     return ce + 0.5 * l2 * float(np.sum(params.weights.astype(np.float64) ** 2))
@@ -203,7 +222,7 @@ def evaluate_head(params: DenseParams, eset: EmbeddingSet) -> tuple[float, float
     """Score a head on a set: (accuracy, macro F1, per-clip scores)."""
     if not eset.items:
         raise ConfigError("evaluation set is empty")
-    x, y, clip_ids = _design_matrix(eset)
+    x, y, clip_ids = _design_matrix(eset, np.float64)
     probs = softmax(dense(x, params))
     scores = tuple(
         ClipScore(clip_id=c, predicted=int(np.argmax(p)), true=int(t), probabilities=p)
@@ -216,9 +235,10 @@ def evaluate_head(params: DenseParams, eset: EmbeddingSet) -> tuple[float, float
 def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResult], float]:
     """k-fold cross-validation: train on folds != f, evaluate on fold f.
 
-    The set is stacked once, in its vectors' dtype, and each fold's head is
-    `train_head` on its rows. Returns per-fold results and the unweighted mean
-    accuracy across folds.
+    The set is stacked once, in `head_dtype(eset)`, and each fold's head is
+    `train_head` on its rows of that stack, trained in that dtype; scoring is
+    float64. Returns per-fold results and the unweighted mean accuracy across
+    folds.
     """
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
@@ -228,7 +248,7 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
     missing = set(range(1, k + 1)) - folds_present
     if missing:
         raise ConfigError(f"folds with zero items: {sorted(missing)}")
-    x, y, _ = _design_matrix(eset, dtype=None)
+    x, y, _ = _design_matrix(eset)
     folds = np.array([item.fold for item in sorted(eset.items, key=lambda i: i.clip_id)])
     results = []
     for fold in range(1, k + 1):

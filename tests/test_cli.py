@@ -465,13 +465,16 @@ class TestTrainAndCV:
         assert len(rows) == 7 and rows[-1].startswith("mean,")
 
     def test_reports_identical_apart_from_timestamp(self, tmp_path, cache_path):
-        paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
-        for p in paths:
-            assert run_cli("eval-cv", "--embeddings", cache_path, "--out", p,
-                           "--epochs", "5").returncode == 0
-        texts = [re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": "X"',
-                        p.read_text()) for p in paths]
-        assert texts[0] == texts[1]
+        # the eval-cv report and the train-head manifest, each from two runs
+        for command, out, report in (("eval-cv", "r{}.json", "r{}.json"),
+                                     ("train-head", "h{}.csnw", "h{}.manifest.json")):
+            for i in (1, 2):
+                assert run_cli(command, "--embeddings", cache_path, "--out",
+                               tmp_path / out.format(i), "--epochs", "5").returncode == 0
+            texts = [re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": "X"',
+                            (tmp_path / report.format(i)).read_text()) for i in (1, 2)]
+            assert texts[0] == texts[1]
+            assert json.loads(texts[0])["head_dtype"] == "float32"
 
     @pytest.mark.parametrize("meta", [5, {"fold": "x", "label": 0}])
     def test_malformed_clip_metadata_exits_2(self, tmp_path, meta):

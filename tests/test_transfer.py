@@ -33,9 +33,14 @@ def synthetic_set(num_classes: int, per_class: int, dim: int, folds: int,
     return transfer.EmbeddingSet(items=tuple(items), dim=dim, num_classes=num_classes)
 
 
+def as_dtype(eset: transfer.EmbeddingSet, dtype) -> transfer.EmbeddingSet:
+    return dataclasses.replace(eset, items=tuple(
+        dataclasses.replace(i, vector=i.vector.astype(dtype)) for i in eset.items))
+
+
 def reference_train_head(train: transfer.EmbeddingSet, cfg: transfer.TrainConfig) -> DenseParams:
     """The SGD loop written out plainly: coupled L2 gradient, fresh arrays each step."""
-    x, y, _ = transfer._design_matrix(train)
+    x, y, _ = transfer._design_matrix(train, np.float64)
     n, d = x.shape
     k = train.num_classes
     rng = np.random.default_rng(cfg.seed)
@@ -204,13 +209,13 @@ class TestRunCV:
 
     def test_matches_reference_trained_heads(self):
         # 500 clips x 20 classes x 64 dims, overlapping enough that folds err;
-        # float32 vectors, as loaded from a cache, are widened only per batch
+        # float32 vectors, as loaded from a cache, train in float32 against the
+        # float64 reference, so only their probabilities move (1.7e-6 seen)
         eset = synthetic_set(num_classes=20, per_class=25, dim=64, folds=5, seed=16,
                              noise=0.8, margin=1.0)
         cfg = transfer.TrainConfig(epochs=5)
-        for dtype in (np.float64, np.float32):
-            eset = dataclasses.replace(eset, items=tuple(
-                dataclasses.replace(i, vector=i.vector.astype(dtype)) for i in eset.items))
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            eset = as_dtype(eset, dtype)
             results, mean_accuracy = transfer.run_cv(eset, 5, cfg)
             want = [transfer.evaluate_head(
                         reference_train_head(eset.subset(lambda i: i.fold != fold), cfg),
@@ -224,7 +229,7 @@ class TestRunCV:
                     [(s.clip_id, s.predicted) for s in scores]
                 for a, b in zip(r.per_clip_scores, scores):
                     np.testing.assert_allclose(a.probabilities, b.probabilities,
-                                               rtol=0, atol=1e-12)
+                                               rtol=0, atol=atol)
 
     def test_folds_bit_identical_to_train_head_on_their_subsets(self):
         eset = synthetic_set(num_classes=4, per_class=12, dim=8, folds=3, seed=17, noise=1.0)
@@ -248,6 +253,55 @@ class TestRunCV:
         eset = synthetic_set(num_classes=2, per_class=8, dim=4, folds=6, seed=15)
         with pytest.raises(ConfigError):
             transfer.run_cv(eset, 5, transfer.TrainConfig(epochs=1))
+
+
+@pytest.fixture
+def trained_heads(monkeypatch):
+    """The heads `transfer._sgd` returns, in call order."""
+    sgd, heads = transfer._sgd, []
+    monkeypatch.setattr(transfer, "_sgd", lambda *args: heads.append(sgd(*args)) or heads[-1])
+    return heads
+
+
+class TestHeadDtype:
+    """The head trains in its embeddings' dtype; float64 sets stay the reference."""
+
+    @pytest.mark.parametrize("vectors, trained", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float32), (np.int64, np.float64)])
+    def test_trains_in_the_vectors_dtype(self, trained_heads, vectors, trained):
+        eset = as_dtype(synthetic_set(num_classes=3, per_class=10, dim=4, folds=2, seed=50,
+                                      margin=4.0), vectors)
+        cfg = transfer.TrainConfig(epochs=2)
+        assert transfer.head_dtype(eset) == trained
+        params = transfer.train_head(eset, cfg)
+        results, _ = transfer.run_cv(eset, 2, cfg)
+        assert len(trained_heads) == 3 and trained_heads[0] is params
+        assert {(h.weights.dtype, h.bias.dtype) for h in trained_heads} == {(np.dtype(trained),) * 2}
+        assert {s.probabilities.dtype for r in results for s in r.per_clip_scores} == \
+            {np.dtype(np.float64)}
+
+    def test_float32_esc50_shaped_cache_within_bound_of_float64(self, trained_heads):
+        # the benchmark cache's 50 classes x 1024 dims and spread, one clip per
+        # class and fold where it has eight
+        rng = np.random.default_rng(51)
+        centres = rng.normal(0.0, 0.1, (50, 1024))
+        e32 = transfer.EmbeddingSet(items=tuple(
+            transfer.EmbeddingItem(f"{fold}-{label:02d}", fold, label,
+                                   (centres[label] + rng.normal(0.0, 0.03, 1024)).astype(np.float32))
+            for fold in range(1, 6) for label in range(50)), dim=1024, num_classes=50)
+        cfg = transfer.TrainConfig()
+        (r32, mean32), (r64, mean64) = (transfer.run_cv(e, 5, cfg)
+                                        for e in (e32, as_dtype(e32, np.float64)))
+        for h32, h64 in zip(trained_heads[:5], trained_heads[5:], strict=True):
+            assert h32.weights.dtype == np.float32 and h64.weights.dtype == np.float64
+            np.testing.assert_allclose(h32.weights, h64.weights, rtol=0, atol=1e-4)
+            np.testing.assert_allclose(h32.bias, h64.bias, rtol=0, atol=1e-4)
+        assert mean32 == mean64
+        for a, b in zip(r32, r64, strict=True):
+            assert (a.accuracy, a.macro_f1) == (b.accuracy, b.macro_f1)
+            assert [(s.clip_id, s.predicted) for s in a.per_clip_scores] == \
+                [(s.clip_id, s.predicted) for s in b.per_clip_scores]
 
 
 class TestBatchedHead:
