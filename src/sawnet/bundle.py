@@ -190,8 +190,10 @@ def load_bundle(path) -> WeightBundle:
     header, tensors = read_container(path)
     arch_id = header.get("arch_id")
     num_classes = header.get("num_classes")
-    if not isinstance(arch_id, str) or not isinstance(num_classes, int):
-        raise ValidationError("weight container must declare arch_id and num_classes")
+    if not isinstance(arch_id, str):
+        raise ValidationError("weight container must declare arch_id")
+    if not isinstance(num_classes, int) or num_classes < 2:  # JSON true and false are < 2
+        raise ValidationError(f"invalid num_classes {num_classes!r}, expected an integer >= 2")
     preproc_tag = header.get("preproc_tag", PREPROC_TAG)
     if preproc_tag != PREPROC_TAG:
         raise ValidationError(

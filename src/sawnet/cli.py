@@ -11,11 +11,14 @@ tool version, input digests, for `featurize`, `infer` and `detect` the counts
 of input files processed and failed, for `infer` and `detect` the
 `compute_dtype` the network ran in, and for `train-head` and `eval-cv` the
 `head_dtype` the head trained in) with the timestamp isolated in one field
-so repeated runs are byte-comparable. WAV inputs are read a block at a time:
-memory grows with a recording's length only by the frames `featurize` writes.
-`infer` runs the patches of consecutive inputs through shared network calls
-of `models.tail_batch_size` patches; each input is still read on its own,
-fails on its own and is averaged over its own patches only.
+so repeated runs are byte-comparable. `infer` and `detect` open each input
+with `_open_source`, a WAV as a `wavio.WavReader` and anything else as a
+loaded feature container, and read either kind the same way, a block at a
+time through `frontend.patch_blocks`: memory grows with a recording's length
+only by the frames `featurize` writes and the rows a container holds. `infer`
+runs the patches of consecutive inputs through shared network calls of
+`models.tail_batch_size` patches; each input is still read on its own, fails
+on its own and is averaged over its own patches only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,9 +36,8 @@ import numpy as np
 from . import __version__
 from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_container
 from .errors import SawnetError
-from .evaluation import check_positive_class, merge_events, score_spectrogram, score_stream
-from .frontend import (LogMelSpectrogram, extract_patches, log_mel_blocks, patch_blocks,
-                       resampled_length)
+from .evaluation import check_positive_class, merge_events, score_stream
+from .frontend import LogMelSpectrogram, log_mel_blocks, patch_blocks, resampled_length
 from .models import (WeightBundle, batch_size, count_params, describe_layer, forward_batch,
                      tail_batch_size)
 from .nn import softmax
@@ -119,10 +122,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _is_wav(path: Path) -> bool:
-    """Whether a file starts like a WAV; anything else is read as a feature container."""
+def _open_source(path: Path):
+    """The clip in an `infer` or `detect` input, for a ``with`` block: a
+    `WavReader` on a file that starts like a WAV, anything else loaded as a
+    feature container. Either is named by the file's stem, unless the
+    container records a `source_id`."""
     with open(path, "rb") as fh:
-        return fh.read(4) == b"RIFF"
+        if fh.read(4) == b"RIFF":
+            return WavReader(path, source_id=path.stem)
+    spec = load_spectrogram(path)
+    spec.source_id = spec.source_id or path.stem
+    return nullcontext(spec)
 
 
 def _report_failure(command: str, path: Path, error: Exception) -> None:
@@ -189,59 +199,46 @@ def _emit_lines(lines: list[str], out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _infer_patches(path: Path, block: int):
-    """(clip id, patches) pairs of one `infer` input: a WAV `block` patches at
-    a time, a feature container whole."""
-    if _is_wav(path):
-        with WavReader(path) as wav:
-            for patches in patch_blocks(wav, block):
-                yield path.stem, patches
-    else:
-        spec = load_spectrogram(path)
-        yield spec.source_id or path.stem, extract_patches(spec)
-
-
 def cmd_infer(args) -> int:
     bundle = load_bundle(args.model)
     inputs = _collect_inputs(args.inputs, (".wav", ".csnw"))
     per_call = tail_batch_size(bundle)
     pending: list[tuple[int, np.ndarray]] = []  # (input index, patches) read but not yet run
-    rows: dict[int, list[np.ndarray]] = {}      # input index -> its probability rows so far
-    clip_ids: dict[int, str] = {}
+    rows: dict[int, tuple[str, list[np.ndarray]]] = {}  # input index -> clip id, rows so far
 
     def run() -> None:
         probs = softmax(forward_batch(bundle, np.concatenate([p for _, p in pending])))
         start = 0
         for i, patches in pending:
-            rows[i].append(probs[start:start + len(patches)])
+            rows[i][1].append(probs[start:start + len(patches)])
             start += len(patches)
         pending.clear()
 
     failures = 0
     for i, path in enumerate(inputs):
-        rows[i] = []
         try:
-            for clip_id, patches in _infer_patches(path, batch_size(bundle)):
-                clip_ids[i] = clip_id
-                while len(patches):
-                    room = per_call - sum(len(p) for _, p in pending)
-                    pending.append((i, patches[:room]))
-                    patches = patches[room:]
-                    if len(pending[-1][1]) == room:
-                        run()
+            with _open_source(path) as clip:
+                rows[i] = (clip.source_id, [])
+                for patches in patch_blocks(clip, batch_size(bundle)):
+                    while len(patches):
+                        room = per_call - sum(len(p) for _, p in pending)
+                        pending.append((i, patches[:room]))
+                        patches = patches[room:]
+                        if len(pending[-1][1]) == room:
+                            run()
         except (SawnetError, OSError) as e:
             _report_failure("infer", path, e)
             failures += 1
-            del rows[i]
+            rows.pop(i, None)
             pending[:] = [(j, p) for j, p in pending if j != i]
     if pending:
         run()
     lines = []
-    for i, blocks in rows.items():
+    for clip_id, blocks in rows.values():
         probs = np.concatenate(blocks).mean(axis=0)
         formatted = ", ".join(f"{p:.6f}" for p in probs)
         lines.append(
-            f'{{"clip_id": {json.dumps(clip_ids[i])}, '
+            f'{{"clip_id": {json.dumps(clip_id)}, '
             f'"predicted": {int(np.argmax(probs))}, "probs": [{formatted}]}}'
         )
     _emit_lines(lines, args.out)
@@ -259,13 +256,8 @@ def cmd_detect(args) -> int:
     failures = 0
     for path in inputs:
         try:
-            if _is_wav(path):
-                with WavReader(path, source_id=path.stem) as wav:
-                    scores = score_stream(bundle, wav, args.positive_class)
-            else:
-                spec = load_spectrogram(path)
-                scores = score_spectrogram(bundle, spec, args.positive_class,
-                                           clip_id=spec.source_id or path.stem)
+            with _open_source(path) as clip:
+                scores = score_stream(bundle, clip, args.positive_class)
         except (SawnetError, OSError) as e:
             _report_failure("detect", path, e)
             failures += 1

@@ -5,28 +5,22 @@ the positive class, merges above-threshold seconds into events (optionally
 bridging short dips), and is summarized by a precision-recall curve with
 step-interpolated average precision. `score_stream` goes through a clip one
 batch of seconds at a time, so its memory does not grow with the clip's
-length, and its scores are bit-identical to `score_spectrogram` on the whole
-clip's log-mel.
+length. A clip is any `frontend.Source`, a WAV read by range or a loaded
+feature container alike, so the same audio gets the same scores in either
+form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TooShort, UndefinedMetric
-from .frontend import (
-    SAMPLE_RATE,
-    AudioSource,
-    LogMelSpectrogram,
-    extract_patches,
-    patch_blocks,
-    resampled_length,
-)
+from .frontend import LogMelSpectrogram, Source, patch_blocks, whole_seconds
 from .models import WeightBundle, batch_size, forward_batch
 from .nn import softmax
 
@@ -62,53 +56,39 @@ def check_positive_class(positive_class: int, num_classes: int) -> None:
         )
 
 
-def _positive_probabilities(logits: np.ndarray, positive_class: int) -> list[float]:
-    """P(positive class) per row of ``[B, K]`` logits."""
-    check_positive_class(positive_class, logits.shape[1])
-    return softmax(logits)[:, positive_class].tolist()
-
-
 def score_spectrogram(
     bundle: WeightBundle,
     spec: LogMelSpectrogram,
     positive_class: int,
     clip_id: str = "",
 ) -> list[SecondScore]:
-    """One SecondScore per whole second of an already-computed spectrogram.
-
-    Seconds are counted by `LogMelSpectrogram.whole_seconds`, so a clip gets
-    the same count from its WAV and from its featurized container. All of a
-    clip's patches go through one `forward_batch`.
-    """
-    seconds = spec.whole_seconds
-    clip_id = clip_id or spec.source_id
-    if seconds < 1:
-        raise TooShort(f"spectrogram {clip_id!r} covers less than one second")
-    patches = extract_patches(spec, FRAMES_PER_SECOND, seconds)
-    probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
-    return [SecondScore(clip_id, s, p) for s, p in enumerate(probabilities)]
+    """`score_stream` on a spectrogram, its scores named `clip_id` if given."""
+    return score_stream(bundle, replace(spec, source_id=clip_id or spec.source_id), positive_class)
 
 
-def score_stream(bundle: WeightBundle, clip: AudioSource, positive_class: int) -> list[SecondScore]:
+def score_stream(bundle: WeightBundle, clip: Source, positive_class: int) -> list[SecondScore]:
     """Score each whole second of a clip with P(positive class), softmax at `positive_class`.
 
-    `clip` is an AudioClip or a source read by range, such as a
-    `wavio.WavReader` on a file. Second s is scored from the 96-frame patch at
-    its first frame, which covers 16 kHz samples ``[16000 s, 16000 s + 15600)``.
+    `clip` is an AudioClip, a source read by range such as a `wavio.WavReader`
+    on a file, or a loaded `LogMelSpectrogram`. It has `frontend.whole_seconds`
+    seconds, so a clip gets the same count from its WAV and from its
+    featurized container. Second s is scored from the 96-frame patch at its
+    first frame, which covers 16 kHz samples ``[16000 s, 16000 s + 15600)``.
     The patches come from `frontend.patch_blocks` in blocks of
     `models.batch_size(bundle)` seconds, one `forward_batch` call each, so
-    memory is bounded by one block. The forward chunks are those of
-    `score_spectrogram` on the whole clip's log-mel, and the scores are
-    bit-identical to it. Every input sample is read: a bad sample anywhere in
-    a file fails the whole clip, as `wavio.decode_wav` would.
+    memory is bounded by one block, and the scores are bit-identical to one
+    forward over the whole clip's patches. Every input sample is read: a bad
+    sample anywhere in a file fails the whole clip, as `wavio.decode_wav` would.
     """
-    seconds = resampled_length(clip.num_samples, clip.sample_rate) // SAMPLE_RATE
+    seconds = whole_seconds(clip)
     if seconds < 1:
         raise TooShort(f"clip {clip.source_id!r} is shorter than one second")
     scores: list[SecondScore] = []
     for patches in patch_blocks(clip, batch_size(bundle), FRAMES_PER_SECOND, seconds):
         first = len(scores)
-        probabilities = _positive_probabilities(forward_batch(bundle, patches), positive_class)
+        logits = forward_batch(bundle, patches)
+        check_positive_class(positive_class, logits.shape[1])
+        probabilities = softmax(logits)[:, positive_class].tolist()
         scores += [SecondScore(clip.source_id, first + s, p) for s, p in enumerate(probabilities)]
     return scores
 

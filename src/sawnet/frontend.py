@@ -17,9 +17,10 @@ Every step is local: a resampled output sample depends on the input samples
 within the low-pass filter's 50-sample halo of its position, and a frame on
 its 400 samples. So `resample_to_16k` also computes any output range of a clip
 from only the input it needs, bit-identical to that slice of the whole-clip
-output, and a clip can be an `AudioClip` in memory or a source read by range
-(`AudioSource`, such as `wavio.WavReader`), as `log_mel_blocks` and
-`patch_blocks` do one block at a time.
+output. `log_mel_blocks` and `patch_blocks` read a clip one block at a time,
+whether it is audio (`AudioSource`: an `AudioClip`, or a `wavio.WavReader`
+read by range) or a loaded `LogMelSpectrogram`, whose rows they slice by the
+same rule; only they, `num_frames` and `whole_seconds` tell the two apart.
 """
 
 from __future__ import annotations
@@ -118,6 +119,23 @@ class LogMelSpectrogram:
         if self.num_samples is None:
             return (self.num_frames + 2) // (SAMPLE_RATE // FRAME_HOP)
         return self.num_samples // SAMPLE_RATE
+
+
+Source = AudioSource | LogMelSpectrogram  # a clip: audio read by range, or its log-mel rows
+
+
+def num_frames(clip: Source) -> int:
+    """Log-mel frames of a clip: a spectrogram's rows, or those of its audio at 16 kHz."""
+    if isinstance(clip, LogMelSpectrogram):
+        return clip.num_frames
+    return frame_count(resampled_length(clip.num_samples, clip.sample_rate))
+
+
+def whole_seconds(clip: Source) -> int:
+    """Whole seconds of a clip's 16 kHz audio (`LogMelSpectrogram.whole_seconds`)."""
+    if isinstance(clip, LogMelSpectrogram):
+        return clip.whole_seconds
+    return resampled_length(clip.num_samples, clip.sample_rate) // SAMPLE_RATE
 
 
 def hz_to_mel(f):
@@ -293,32 +311,37 @@ def extract_patches(spec: LogMelSpectrogram, hop: int = PATCH_FRAMES,
     return windows[::hop].transpose(0, 2, 1)
 
 
-def log_mel_blocks(clip: AudioSource, frames: int) -> Iterator[np.ndarray]:
-    """The rows of ``log_mel_spectrogram(resample_to_16k(clip)).frames``, bit for
-    bit, in consecutive blocks of `frames` (>= 96) rows, each computed from
-    only its own 16 kHz range. A remainder under 96 rows joins the last block,
-    as a BLAS may round a product of a few rows differently. The last block
-    reads to the clip's end: drained, the generator reads every input sample.
+def log_mel_blocks(clip: Source, frames: int) -> Iterator[np.ndarray]:
+    """The rows of a clip's log-mel, bit for bit, in consecutive blocks of
+    `frames` (>= 96) rows: slices of a spectrogram's rows, or the rows of
+    ``log_mel_spectrogram(resample_to_16k(clip))``, each from only its own
+    16 kHz range. A remainder under 96 rows joins the last block, as a BLAS may
+    round a product of a few rows differently. The last block reads to the
+    clip's end: drained, the generator reads every input sample.
     """
     if frames < PATCH_FRAMES:
         raise ConfigError(f"a block needs at least {PATCH_FRAMES} frames, got {frames}")
+    starts = range(0, max(num_frames(clip) - PATCH_FRAMES, 0) + 1, frames)
+    if isinstance(clip, LogMelSpectrogram):
+        for first in starts:
+            yield clip.frames[first:] if first == starts[-1] else clip.frames[first:first + frames]
+        return
     num_samples = resampled_length(clip.num_samples, clip.sample_rate)
-    starts = range(0, max(frame_count(num_samples) - PATCH_FRAMES, 0) + 1, frames)
     for first in starts:
         stop = num_samples if first == starts[-1] else (first + frames - 1) * FRAME_HOP + FRAME_LEN
         yield log_mel_spectrogram(resample_to_16k(clip, first * FRAME_HOP, stop)).frames
 
 
-def patch_blocks(clip: AudioSource, block: int, hop: int = PATCH_FRAMES,
+def patch_blocks(clip: Source, block: int, hop: int = PATCH_FRAMES,
                  count: int | None = None) -> Iterator[np.ndarray]:
-    """``extract_patches(whole-clip log-mel, hop, count)``, bit for bit, in
-    arrays of `block` patches (the last may be shorter). Patches must not
+    """``extract_patches(the clip's whole log-mel, hop, count)``, bit for bit,
+    in arrays of `block` patches (the last may be shorter). Patches must not
     overlap (``hop >= 96``): each then lies in one block of
     ``log_mel_blocks(clip, block * hop)``, and every block is read.
     """
     if block < 1 or hop < PATCH_FRAMES:
         raise ConfigError(f"need block >= 1 and hop >= {PATCH_FRAMES}, got {block} and {hop}")
-    total = frame_count(resampled_length(clip.num_samples, clip.sample_rate))
+    total = num_frames(clip)
     if count is None:
         count = max(total - PATCH_FRAMES, 0) // hop + 1
     if total > 0 and (count < 1 or (count - 1) * hop >= total):

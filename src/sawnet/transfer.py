@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import bundle as bundle_io
 from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
-from .frontend import AudioSource, patch_blocks
+from .frontend import Source, patch_blocks
 from .models import WeightBundle, batch_size, forward_embedding
 from .nn import DenseParams, dense, log_softmax, softmax
 
@@ -105,12 +106,12 @@ class FoldResult:
 
 def extract_embeddings(
     bundle: WeightBundle,
-    clips: Iterable[tuple[AudioSource, int, int]],
+    clips: Iterable[tuple[Source, int, int]],
     num_classes: int | None = None,
 ) -> tuple[EmbeddingSet, list[tuple[str, str]]]:
     """Embed labeled clips: mean of all 96-frame patch embeddings per clip.
 
-    `clips` yields (clip, label, fold) triples; a clip is any `AudioSource`,
+    `clips` yields (clip, label, fold) triples; a clip is any `frontend.Source`,
     read in blocks of `models.batch_size` patches. Clips that fail with a
     SawnetError (bad audio, too short) are skipped and reported in the
     returned error list instead of aborting the batch; any other exception is
@@ -273,7 +274,14 @@ def assign_esc50_fold(filename: str) -> int:
 
 
 def save_embeddings(path, eset: EmbeddingSet) -> None:
-    """Persist an EmbeddingSet as a CSNW container, one tensor per clip."""
+    """Persist an EmbeddingSet as a CSNW container, one tensor per clip.
+
+    The clip ids key the tensors, so a set that repeats one is rejected before
+    anything is written.
+    """
+    repeated = sorted(c for c, n in Counter(i.clip_id for i in eset.items).items() if n > 1)
+    if repeated:
+        raise ValidationError(f"repeated clip ids {repeated}: a cache keys its vectors by clip id")
     header = {
         "kind": "embeddings",
         "dim": eset.dim,
@@ -297,5 +305,7 @@ def load_embeddings(path) -> EmbeddingSet:
             raise ValidationError(f"clip {clip_id!r} listed in header but has no tensor")
         if not (isinstance(meta, dict) and all(_is_int(meta.get(k)) for k in ("fold", "label"))):
             raise ValidationError(f"clip {clip_id!r}: needs integer fold and label, got {meta!r}")
+        if not np.isfinite(tensors[clip_id]).all():
+            raise ValidationError(f"clip {clip_id!r}: embedding has non-finite values")
         items.append(EmbeddingItem(clip_id, meta["fold"], meta["label"], tensors[clip_id]))
     return EmbeddingSet(items=tuple(items), dim=dim, num_classes=num_classes)

@@ -190,6 +190,16 @@ class TestCorruption:
         with pytest.raises(ValidationError):
             bundle.load_bundle(path)
 
+    @pytest.mark.parametrize("num_classes", [True, 1, 2.0, "2"])
+    def test_num_classes_must_be_an_integer_of_at_least_two(self, tmp_path, num_classes):
+        path = self._valid_file(tmp_path)
+        header, tensors = bundle.read_container(path)
+        header["num_classes"] = num_classes
+        del header["tensors"], header["payload_bytes"]
+        bundle.write_container(path, header, tensors)
+        with pytest.raises(ValidationError, match="invalid num_classes"):
+            bundle.load_bundle(path)
+
     def test_wrong_tensor_set_for_arch(self, tmp_path):
         header = {
             "arch_id": "aug_vggish", "num_classes": 2, "preproc_tag": PREPROC_TAG,

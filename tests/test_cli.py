@@ -268,6 +268,29 @@ class TestPerFileFailures:
         assert [json.loads(line)["clip_id"] for line in out.read_text().splitlines()] == ["tone"]
         assert "late_nan.wav: DecodeError: payload contains non-finite samples" in result.stderr
 
+    @pytest.mark.parametrize("command", ["infer", "detect"])
+    def test_mixed_kinds_give_each_file_its_own_lines(self, tmp_path, model_dir, wav_dir,
+                                                       command):
+        # a WAV, a feature container that records no source_id (so it is
+        # named by its stem, as the WAV is) and a bad file, read through one
+        # input path
+        (tmp_path / "a_tone.wav").write_bytes((wav_dir / "tone.wav").read_bytes())
+        save_spectrogram(tmp_path / "b_feat.csnw",
+                         log_mel_spectrogram(sine_clip(880.0, 3.0, source_id="")))
+        (tmp_path / "c_bad.csnw").write_bytes(b"CSNW" + bytes(8))
+        inputs = sorted(tmp_path.iterdir())
+        flags = ["--model", model_dir / "rand4.csnw"]
+        if command == "detect":
+            flags += ["--threshold", "0"]
+        together = run_cli(command, *flags, *inputs)
+        alone = [run_cli(command, *flags, path) for path in inputs]
+        assert together.returncode == 2 and [r.returncode for r in alone] == [0, 0, 2]
+        assert together.stdout == "".join(r.stdout for r in alone)
+        assert [json.loads(line)["clip_id"] for line in together.stdout.splitlines()] == \
+            ["a_tone", "b_feat"]
+        assert together.stderr == alone[2].stderr
+        assert "c_bad.csnw: FormatError" in together.stderr
+
 
 class TestManifestCounts:
     def test_counts_with_bad_files_among_good(self, tmp_path, model_dir, mixed_inputs):
@@ -486,6 +509,21 @@ class TestTrainAndCV:
             result = run_cli(command, "--embeddings", cache, "--out", out)
             assert result.returncode == 2
             assert "ValidationError: clip 'a'" in result.stderr and not result.stdout
+            assert sorted(tmp_path.iterdir()) == [cache]
+
+    def test_non_finite_embedding_exits_2_before_training(self, tmp_path):
+        cache = tmp_path / "cache.csnw"
+        clips = {f"c{i}": {"fold": i % 2 + 1, "label": i % 2} for i in range(4)}
+        vectors = {c: np.full(2, float(i)) for i, c in enumerate(clips)}
+        vectors["c2"] = np.array([0.0, np.nan])
+        write_container(cache, {"kind": "embeddings", "dim": 2, "num_classes": 2,
+                                "clips": clips}, vectors)
+        for command, out in (("train-head", "head.csnw"), ("eval-cv", "report.json")):
+            result = run_cli(command, "--embeddings", cache, "--out", tmp_path / out,
+                             "--folds" if command == "eval-cv" else "--epochs", "2")
+            assert result.returncode == 2
+            assert "ValidationError: clip 'c2': embedding has non-finite values" \
+                in result.stderr and not result.stdout
             assert sorted(tmp_path.iterdir()) == [cache]
 
     def test_negative_seed_exits_2(self, tmp_path, cache_path):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_long_wav
-from sawnet import bundle, cli, evaluation, frontend, models, transfer
+from sawnet import bundle, cli, evaluation, frontend, models, nn, transfer
 from sawnet.errors import ConfigError, DecodeError, SawnetError, TooShort, UndefinedMetric
 from sawnet.evaluation import SecondScore, accuracy_f1, merge_events, pr_curve, score_stream
 from sawnet.frontend import AudioClip
@@ -308,6 +308,15 @@ class TestScoreStream:
         spec = frontend.LogMelSpectrogram(frames=np.zeros((298, 64)))
         assert len(evaluation.score_spectrogram(zero_bundle, spec, 1)) == 3
 
+    def test_spectrogram_source_keeps_frame_rule(self, zero_bundle):
+        # without num_samples, 298 frames count (298 + 2) // 100 = 3 seconds
+        spec = frontend.LogMelSpectrogram(np.zeros((298, 64), np.float32), "feat")
+        scores = score_stream(zero_bundle, spec, positive_class=1)
+        assert [(s.clip_id, s.second_index) for s in scores] == [("feat", 0), ("feat", 1),
+                                                                  ("feat", 2)]
+        with pytest.raises(TooShort, match="clip 'short' is shorter than one second"):
+            score_stream(zero_bundle, frontend.LogMelSpectrogram(spec.frames[:97], "short"), 1)
+
     def test_too_short_rejected(self, zero_bundle):
         with pytest.raises(TooShort):
             score_stream(zero_bundle, AudioClip(np.zeros(15999, np.float32), 16000), 1)
@@ -331,9 +340,12 @@ class TestScoreStream:
 
 
 def whole_clip_scores(net, clip, positive_class=1):
-    """The reference: score the whole clip's log-mel in one go."""
+    """The reference: the whole clip's log-mel, cut into one patch per whole
+    second, in one forward."""
     spec = frontend.log_mel_spectrogram(frontend.resample_to_16k(clip))
-    return evaluation.score_spectrogram(net, spec, positive_class, clip_id=clip.source_id)
+    patches = frontend.extract_patches(spec, 100, spec.whole_seconds)
+    probabilities = nn.softmax(evaluation.forward_batch(net, patches))[:, positive_class]
+    return [SecondScore(clip.source_id, s, p) for s, p in enumerate(probabilities.tolist())]
 
 
 _RATES = [8000, 16000, 22050, 44100, 48000]

@@ -375,6 +375,29 @@ class TestBlocks:
         assert source.reads[0][0] == 0 and source.reads[-1][1] == source.num_samples
         assert all(lo < prev_hi for (_, prev_hi), (lo, _) in zip(source.reads, source.reads[1:]))
 
+    @given(frames=st.integers(1, 1200), block=st.sampled_from([1, 2, 4, 25]),
+           hop=st.sampled_from([96, 100]), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_spectrogram_blocks_are_slices_of_its_rows(self, frames, block, hop, seed, data):
+        # a loaded feature container is a source too: its blocks and patches
+        # are those of its whole rows
+        rows = np.random.default_rng(seed).normal(-4, 2, (frames, 64)).astype(np.float32)
+        rows.setflags(write=False)
+        spec = frontend.LogMelSpectrogram(rows, "feat")
+        blocks = list(frontend.log_mel_blocks(spec, block * hop))
+        assert all(len(b) == block * hop for b in blocks[:-1])
+        joined = np.concatenate(blocks)
+        assert joined.dtype == rows.dtype
+        np.testing.assert_array_equal(joined, rows)
+        count = data.draw(st.none() | st.integers(1, (frames - 1) // hop + 1))
+        whole = frontend.extract_patches(spec, hop, count)
+        got = list(frontend.patch_blocks(spec, block, hop, count))
+        assert [len(b) for b in got] == [len(c) for c in np.split(
+            whole, range(block, len(whole), block))]
+        joined = np.concatenate(got)
+        assert joined.dtype == whole.dtype
+        np.testing.assert_array_equal(joined, whole)
+
     def test_block_shorter_than_a_patch_rejected(self):
         clip = frontend.AudioClip(np.zeros(16000, np.float32), 16000)
         with pytest.raises(ConfigError):

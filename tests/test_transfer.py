@@ -377,6 +377,16 @@ class TestExtractEmbeddings:
         eset, _ = transfer.extract_embeddings(embed_bundle, clips, num_classes=2)
         np.testing.assert_array_equal(eset.items[0].vector, eset.items[1].vector)
 
+    def test_spectrogram_and_its_audio_embed_alike(self, embed_bundle):
+        clip = frontend.AudioClip(
+            np.random.default_rng(39).uniform(-0.3, 0.3, 40000).astype(np.float32),
+            16000, "clip-s")
+        spec = frontend.log_mel_spectrogram(clip)
+        from_audio, _ = transfer.extract_embeddings(embed_bundle, [(clip, 0, 1)], num_classes=2)
+        from_spec, _ = transfer.extract_embeddings(embed_bundle, [(spec, 0, 1)], num_classes=2)
+        assert from_spec.items[0].clip_id == "clip-s"
+        np.testing.assert_array_equal(from_spec.items[0].vector, from_audio.items[0].vector)
+
     def test_failures_recorded_not_fatal(self, embed_bundle):
         good = frontend.AudioClip(
             np.random.default_rng(34).uniform(-0.2, 0.2, 16000).astype(np.float32),
@@ -433,6 +443,37 @@ class TestEmbeddingCache:
         for a, b in zip(loaded.items, eset.items):
             assert (a.fold, a.label) == (b.fold, b.label)
             np.testing.assert_array_equal(a.vector, b.vector.astype(np.float32))
+
+    def test_repeated_clip_ids_rejected_before_writing(self, tmp_path):
+        items = tuple(transfer.EmbeddingItem(c, 1, 0, np.zeros(2)) for c in ("a", "b", "a"))
+        path = tmp_path / "cache.csnw"
+        with pytest.raises(ValidationError, match=r"repeated clip ids \['a'\]"):
+            transfer.save_embeddings(path, transfer.EmbeddingSet(items, dim=2, num_classes=2))
+        assert not path.exists()
+
+    def test_unnamed_clips_rejected_before_writing(self, tmp_path, embed_bundle):
+        # AudioClip's default source_id is "", so four unnamed clips share one id
+        rng = np.random.default_rng(41)
+        clips = [(frontend.AudioClip(rng.uniform(-0.2, 0.2, 16000).astype(np.float32), 16000),
+                  0, 1) for _ in range(4)]
+        eset, errors = transfer.extract_embeddings(embed_bundle, clips, num_classes=2)
+        assert not errors and len(eset.items) == 4
+        path = tmp_path / "cache.csnw"
+        with pytest.raises(ValidationError, match=r"repeated clip ids \[''\]"):
+            transfer.save_embeddings(path, eset)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected_at_load(self, tmp_path, bad):
+        from sawnet.bundle import write_container
+
+        path = tmp_path / "cache.csnw"
+        write_container(path, {"kind": "embeddings", "dim": 2, "num_classes": 2,
+                               "clips": {"a": {"fold": 1, "label": 0},
+                                         "b": {"fold": 2, "label": 1}}},
+                        {"a": np.zeros(2), "b": np.array([0.5, bad])})
+        with pytest.raises(ValidationError, match="clip 'b': embedding has non-finite values"):
+            transfer.load_embeddings(path)
 
     def test_header_tensor_mismatch(self, tmp_path):
         from sawnet.bundle import write_container
