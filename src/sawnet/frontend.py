@@ -255,8 +255,11 @@ def resample_to_16k(clip: AudioSource, start: int = 0, stop: int | None = None) 
     return AudioClip(out.astype(np.float32), SAMPLE_RATE, clip.source_id)
 
 
+@lru_cache(maxsize=2)
 def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.setflags(write=False)
+    return window
 
 
 def frame_count(num_samples: int) -> int:

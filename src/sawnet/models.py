@@ -292,7 +292,9 @@ class WeightBundle:
 
     Validation folds every batch norm into the conv before it: afterwards
     `spec` is `fold_spec` of the given layer list and `params` holds only the
-    folded network's tensors, the one copy of the weights that runs.
+    folded network's tensors, the one copy of the weights that runs. It also
+    works out `forward_batch`'s patches per call, which `batch_size` and
+    `tail_batch_size` then read.
 
     `dtype` is the bundle's compute dtype, the promoted dtype of its tensors:
     float32 for every bundle loaded from a container, float64 when an
@@ -309,6 +311,7 @@ class WeightBundle:
     preproc_tag: str = PREPROC_TAG
     epsilon: float = DEFAULT_EPSILON
     _objs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _per_call: tuple[int, int] = field(default=(1, 1), init=False, repr=False, compare=False)
     dtype: np.dtype = field(default=np.dtype(np.float32), init=False, compare=False)
 
     def __post_init__(self):
@@ -349,6 +352,8 @@ class WeightBundle:
         self._objs = {layer.name: self._build(layer)
                       for layer in spec.layers if param_shapes(layer)}
         self.spec = spec
+        self._per_call = (_patches_per_call(self, 0, im2col=False),
+                          _patches_per_call(self, _tail_start(spec), im2col=True))
 
     def _build(self, layer: LayerDef) -> object:
         tensors = {suffix: self.params[f"{layer.name}/{suffix}"] for suffix in param_shapes(layer)}
@@ -480,9 +485,10 @@ def batch_size(bundle: WeightBundle) -> int:
     `nn.conv2d_same` splits the batch again per layer, so that a layer's
     patches share one product only while its kernels outweigh twice their
     im2col block; the two rules together decide how patches share the weight
-    passes up to the last max pool.
+    passes up to the last max pool. Worked out once, when the bundle is
+    validated.
     """
-    return _patches_per_call(bundle, 0, im2col=False)
+    return bundle._per_call[0]
 
 
 def tail_batch_size(bundle: WeightBundle) -> int:
@@ -495,9 +501,9 @@ def tail_batch_size(bundle: WeightBundle) -> int:
     (56.6 MB of its 75 MB in float32) see a 3x2 map, in float32 and float64
     alike, and 1 for aug_vggish, whose tail is two small dense layers.
     `sawnet infer` gathers the patches of consecutive inputs into calls of
-    this many.
+    this many. Worked out once, when the bundle is validated.
     """
-    return _patches_per_call(bundle, _tail_start(bundle.spec), im2col=True)
+    return bundle._per_call[1]
 
 
 def forward_batch(bundle: WeightBundle, patches: np.ndarray,
@@ -520,10 +526,9 @@ def forward_batch(bundle: WeightBundle, patches: np.ndarray,
     if patches.ndim != 3 or not len(patches):
         raise ValidationError("forward_batch needs an [N >= 1, H, W] array of patches, "
                               f"got shape {patches.shape}")
-    n = batch_size(bundle)
+    n, group = bundle._per_call
     start = _tail_start(bundle.spec)
     tail = bundle.spec.layers[start:]
-    group = _patches_per_call(bundle, start, im2col=True)
     if group > n and (stop_after is None or any(l.name == stop_after for l in tail)):
         pool = bundle.spec.layers[start - 1].name
         outs = []

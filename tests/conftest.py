@@ -17,6 +17,31 @@ _CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(Path(sawnet.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
 
 
+def child_pids() -> set[int]:
+    """The running children of this process: each /proc/<pid>/stat whose parent
+    is this process."""
+    me, pids = os.getpid(), set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # fields after the parenthesised command name: state, then parent pid
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except OSError:  # it exited while being read
+            continue
+        if ppid == me:
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail any test that leaves a child process of the test process behind."""
+    before = child_pids()
+    yield
+    left = child_pids() - before
+    if left:
+        pytest.fail(f"child processes left running: {sorted(left)}")
+
+
 def run_cli(*args, cwd=None):
     """Run ``python -m sawnet`` with `args`, capturing text output."""
     return subprocess.run(

@@ -1,15 +1,20 @@
 """Head training protocol: determinism, convergence, CV discipline."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bn_stats
+from conftest import child_pids, random_bn_stats
 from sawnet import evaluation, frontend, models, nn, transfer
-from sawnet.errors import ConfigError, ParseError, ValidationError
+from sawnet.errors import ConfigError, ParseError, SawnetError, ValidationError
 from sawnet.nn import DenseParams
 
 
@@ -36,6 +41,17 @@ def synthetic_set(num_classes: int, per_class: int, dim: int, folds: int,
 def as_dtype(eset: transfer.EmbeddingSet, dtype) -> transfer.EmbeddingSet:
     return dataclasses.replace(eset, items=tuple(
         dataclasses.replace(i, vector=i.vector.astype(dtype)) for i in eset.items))
+
+
+def esc50_shaped_set(seed: int = 51) -> transfer.EmbeddingSet:
+    """The benchmark cache's 50 classes x 1024 dims and spread, float32, one
+    clip per class and fold where it has eight."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 0.1, (50, 1024))
+    return transfer.EmbeddingSet(items=tuple(
+        transfer.EmbeddingItem(f"{fold}-{label:02d}", fold, label,
+                               (centres[label] + rng.normal(0.0, 0.03, 1024)).astype(np.float32))
+        for fold in range(1, 6) for label in range(50)), dim=1024, num_classes=50)
 
 
 def reference_train_head(train: transfer.EmbeddingSet, cfg: transfer.TrainConfig) -> DenseParams:
@@ -257,9 +273,18 @@ class TestRunCV:
 
 @pytest.fixture
 def trained_heads(monkeypatch):
-    """The heads `transfer._sgd` returns, in call order."""
-    sgd, heads = transfer._sgd, []
+    """The heads trained for this process, in call order: each one `transfer._sgd`
+    returns in-process, and `run_cv`'s fold heads, in fold order, where they
+    come back from its worker processes (which never see a patch made here)."""
+    sgd, from_workers, heads = transfer._sgd, transfer._worker_heads, []
+
+    def record(*args):
+        got = from_workers(*args)
+        heads.extend(got)
+        return got
+
     monkeypatch.setattr(transfer, "_sgd", lambda *args: heads.append(sgd(*args)) or heads[-1])
+    monkeypatch.setattr(transfer, "_worker_heads", record)
     return heads
 
 
@@ -282,14 +307,7 @@ class TestHeadDtype:
             {np.dtype(np.float64)}
 
     def test_float32_esc50_shaped_cache_within_bound_of_float64(self, trained_heads):
-        # the benchmark cache's 50 classes x 1024 dims and spread, one clip per
-        # class and fold where it has eight
-        rng = np.random.default_rng(51)
-        centres = rng.normal(0.0, 0.1, (50, 1024))
-        e32 = transfer.EmbeddingSet(items=tuple(
-            transfer.EmbeddingItem(f"{fold}-{label:02d}", fold, label,
-                                   (centres[label] + rng.normal(0.0, 0.03, 1024)).astype(np.float32))
-            for fold in range(1, 6) for label in range(50)), dim=1024, num_classes=50)
+        e32 = esc50_shaped_set()
         cfg = transfer.TrainConfig()
         (r32, mean32), (r64, mean64) = (transfer.run_cv(e, 5, cfg)
                                         for e in (e32, as_dtype(e32, np.float64)))
@@ -302,6 +320,81 @@ class TestHeadDtype:
             assert (a.accuracy, a.macro_f1) == (b.accuracy, b.macro_f1)
             assert [(s.clip_id, s.predicted) for s in a.per_clip_scores] == \
                 [(s.clip_id, s.predicted) for s in b.per_clip_scores]
+
+
+def cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(transfer, "_usable_cores", lambda: n)
+
+
+class TestFoldWorkers:
+    """`run_cv` trains its fold heads in worker processes, one per usable core."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_workers_bit_identical_to_in_process(self, monkeypatch, trained_heads, dtype):
+        eset, cfg = as_dtype(esc50_shaped_set(), dtype), transfer.TrainConfig()
+        cores(monkeypatch, 1)
+        want, want_mean = transfer.run_cv(eset, 5, cfg)
+        started = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **kw: started.append(popen(*a, **kw))
+                            or started[-1])
+        cores(monkeypatch, 2)
+        got, got_mean = transfer.run_cv(eset, 5, cfg)
+        assert len(started) == 2 and len(trained_heads) == 10
+        for a, b in zip(trained_heads[:5], trained_heads[5:], strict=True):
+            assert a.weights.dtype == b.weights.dtype == dtype
+            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.bias, b.bias)
+        assert got_mean == want_mean
+        for a, b in zip(got, want, strict=True):
+            assert (a.fold, a.accuracy, a.macro_f1) == (b.fold, b.accuracy, b.macro_f1)
+            for sa, sb in zip(a.per_clip_scores, b.per_clip_scores, strict=True):
+                assert (sa.clip_id, sa.predicted, sa.true) == (sb.clip_id, sb.predicted, sb.true)
+                np.testing.assert_array_equal(sa.probabilities, sb.probabilities)
+
+    def test_one_core_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subprocess was started")
+
+        eset = synthetic_set(num_classes=3, per_class=10, dim=4, folds=5, seed=60)
+        cores(monkeypatch, 1)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        results, _ = transfer.run_cv(eset, 5, transfer.TrainConfig(epochs=2))
+        assert [r.fold for r in results] == [1, 2, 3, 4, 5]
+
+    def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, tmp_path):
+        # the worker for folds 1 and 3 fails at once; the one for fold 2 would
+        # sleep for a minute unless it is killed
+        monkeypatch.setattr(transfer, "_WORKER", "import sys, time\n"
+                            "if sys.argv[2] == '1': sys.exit('worker broke')\n"
+                            "time.sleep(60)")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cores(monkeypatch, 2)
+        eset = synthetic_set(num_classes=3, per_class=10, dim=4, folds=3, seed=61)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="folds \\[1, 3\\].*worker broke") as info:
+            transfer.run_cv(eset, 3, transfer.TrainConfig(epochs=1))
+        assert not isinstance(info.value, SawnetError)
+        assert time.monotonic() - start < 30
+        assert child_pids() == set()
+        assert list(tmp_path.iterdir()) == []  # the job directory is gone
+
+    def test_workers_get_one_blas_thread_and_environment_unchanged(self, monkeypatch):
+        envs = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(subprocess, "Popen",
+                            lambda *a, env, **kw: envs.append(env) or popen(*a, env=env, **kw))
+        cores(monkeypatch, 2)
+        before = dict(os.environ)
+        transfer.run_cv(synthetic_set(num_classes=3, per_class=10, dim=4, folds=2, seed=62),
+                        2, transfer.TrainConfig(epochs=1))
+        assert dict(os.environ) == before
+        one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                   "1")
+        path = os.pathsep.join(map(os.path.abspath, sys.path))
+        assert len(envs) == 2
+        for env in envs:
+            assert env == before | one_thread | {"PYTHONPATH": path}
 
 
 class TestBatchedHead:
