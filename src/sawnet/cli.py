@@ -16,9 +16,9 @@ with `_open_source`, a WAV as a `wavio.WavReader` and anything else as a
 loaded feature container, and read either kind the same way, a block at a
 time through `frontend.patch_blocks`: memory grows with a recording's length
 only by the frames `featurize` writes and the rows a container holds. `infer`
-runs the patches of consecutive inputs through shared network calls of
-`models.tail_batch_size` patches; each input is still read on its own, fails
-on its own and is averaged over its own patches only.
+runs all but the last stage of `bundle.plan` on each block as it reads it
+and the last stage on calls shared across inputs; each input still fails on
+its own and is averaged over its own patches only.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_conta
 from .errors import SawnetError
 from .evaluation import check_positive_class, merge_events, score_stream
 from .frontend import LogMelSpectrogram, log_mel_blocks, patch_blocks, resampled_length
-from .models import (WeightBundle, batch_size, count_params, describe_layer, forward_batch,
-                     tail_batch_size)
+from .models import WeightBundle, count_params, describe_layer, run_stages
 from .nn import softmax
 from .transfer import TrainConfig, head_dtype, load_embeddings, run_cv, train_head
 from .wavio import WavReader
@@ -184,6 +183,8 @@ def cmd_info(args) -> int:
     print("layers:")
     for layer in spec.layers:
         print(f"  {layer.name:8s} {layer.kind:16s}{describe_layer(layer)}")
+    for start, stop, per_call in bundle.plan:
+        print(f"stage: {spec.layers[start].name}..{spec.layers[stop - 1].name} x{per_call}")
     print(f"embedding_dim: {spec.embedding_dim}")
     print(f"trainable_params: {count_params(spec)}")
     print(f"compute_dtype: {bundle.dtype}")
@@ -202,16 +203,16 @@ def _emit_lines(lines: list[str], out: str | None) -> None:
 def cmd_infer(args) -> int:
     bundle = load_bundle(args.model)
     inputs = _collect_inputs(args.inputs, (".wav", ".csnw"))
-    per_call = tail_batch_size(bundle)
-    pending: list[tuple[int, np.ndarray]] = []  # (input index, patches) read but not yet run
+    front, last = bundle.plan[:-1], bundle.plan[-1]
+    pending: list[tuple[int, np.ndarray]] = []  # (input index, last stage's input) not yet run
     rows: dict[int, tuple[str, list[np.ndarray]]] = {}  # input index -> clip id, rows so far
 
     def run() -> None:
-        probs = softmax(forward_batch(bundle, np.concatenate([p for _, p in pending])))
+        probs = softmax(run_stages(bundle, np.concatenate([x for _, x in pending]), (last,)))
         start = 0
-        for i, patches in pending:
-            rows[i][1].append(probs[start:start + len(patches)])
-            start += len(patches)
+        for i, x in pending:
+            rows[i][1].append(probs[start:start + len(x)])
+            start += len(x)
         pending.clear()
 
     failures = 0
@@ -219,11 +220,12 @@ def cmd_infer(args) -> int:
         try:
             with _open_source(path) as clip:
                 rows[i] = (clip.source_id, [])
-                for patches in patch_blocks(clip, batch_size(bundle)):
-                    while len(patches):
-                        room = per_call - sum(len(p) for _, p in pending)
-                        pending.append((i, patches[:room]))
-                        patches = patches[room:]
+                for patches in patch_blocks(clip, bundle.plan[0].per_call):
+                    x = run_stages(bundle, patches[:, None], front) if front else patches[:, None]
+                    while len(x):
+                        room = last.per_call - sum(len(p) for _, p in pending)
+                        pending.append((i, x[:room]))
+                        x = x[room:]
                         if len(pending[-1][1]) == room:
                             run()
         except (SawnetError, OSError) as e:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, TooShort, UndefinedMetric
 from .frontend import LogMelSpectrogram, Source, patch_blocks, whole_seconds
-from .models import WeightBundle, batch_size, forward_batch
+from .models import WeightBundle, forward_batch
 from .nn import softmax
 
 FRAMES_PER_SECOND = 100  # 10 ms hop
@@ -75,7 +75,7 @@ def score_stream(bundle: WeightBundle, clip: Source, positive_class: int) -> lis
     featurized container. Second s is scored from the 96-frame patch at its
     first frame, which covers 16 kHz samples ``[16000 s, 16000 s + 15600)``.
     The patches come from `frontend.patch_blocks` in blocks of
-    `models.batch_size(bundle)` seconds, one `forward_batch` call each, so
+    `bundle.plan[0].per_call` seconds, one `forward_batch` call each, so
     memory is bounded by one block, and the scores are bit-identical to one
     forward over the whole clip's patches. Every input sample is read: a bad
     sample anywhere in a file fails the whole clip, as `wavio.decode_wav` would.
@@ -84,7 +84,7 @@ def score_stream(bundle: WeightBundle, clip: Source, positive_class: int) -> lis
     if seconds < 1:
         raise TooShort(f"clip {clip.source_id!r} is shorter than one second")
     scores: list[SecondScore] = []
-    for patches in patch_blocks(clip, batch_size(bundle), FRAMES_PER_SECOND, seconds):
+    for patches in patch_blocks(clip, bundle.plan[0].per_call, FRAMES_PER_SECOND, seconds):
         first = len(scores)
         logits = forward_batch(bundle, patches)
         check_positive_class(positive_class, logits.shape[1])

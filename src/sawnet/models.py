@@ -27,17 +27,11 @@ The embedding (penultimate representation) is the 256-unit FC output for
 aug_vggish and the globally pooled 1024-channel feature map for fcn_vggish.
 
 Every forward goes through `run_layers`, which takes a ``[B, C, H, W]`` batch
-and makes one `nn` operator call per layer, ReLU in place.
-`forward_batch` runs an ``[N, H, W]`` array of patches through it in chunks
-of `batch_size` patches, and `forward_embedding` does the same up to the
-embedding; one patch `p` is ``p[None]``. A chunk shares one pass over every
-weight among its patches but holds all of their activations at once, so
-batching pays only where the weights outweigh one patch's activations:
-fcn_vggish runs 4 patches per call, aug_vggish 1. The layers after the last
-max pool are weighed on their own (`tail_batch_size`): fcn_vggish's conv7
-and conv8 hold 56.6 MB of its 75 MB but see a 3x2 map, so `forward_batch`
-runs that tail once per 25 patches, after their first stage; aug_vggish's
-tail gets 1, and it runs in one stage.
+and makes one `nn` operator call per layer, ReLU in place. `forward_batch`
+and `forward_embedding` run ``[N, H, W]`` patches (one patch `p` is ``p[None]``)
+by `WeightBundle.plan`: stages of layers, each with the patches per call that
+pay for one pass over its weights, built at validation. aug_vggish has one
+stage of 1; fcn_vggish conv1..pool5 at 4, then conv7..gap at 25.
 """
 
 from __future__ import annotations
@@ -282,6 +276,14 @@ def _validate_chain(spec: ModelSpec) -> None:
         raise ValidationError(f"embedding layer {spec.embedding_layer!r} not in layer list")
 
 
+class Stage(NamedTuple):
+    """A step of `WeightBundle.plan`: ``spec.layers[start:stop]``, `per_call` patches a call."""
+
+    start: int
+    stop: int
+    per_call: int
+
+
 @dataclass
 class WeightBundle:
     """A ModelSpec plus its named parameter tensors; immutable once validated.
@@ -292,9 +294,8 @@ class WeightBundle:
 
     Validation folds every batch norm into the conv before it: afterwards
     `spec` is `fold_spec` of the given layer list and `params` holds only the
-    folded network's tensors, the one copy of the weights that runs. It also
-    works out `forward_batch`'s patches per call, which `batch_size` and
-    `tail_batch_size` then read.
+    folded network's tensors, the one copy of the weights that runs, and
+    `plan` the `Stage` tuple that `forward_batch` runs them in.
 
     `dtype` is the bundle's compute dtype, the promoted dtype of its tensors:
     float32 for every bundle loaded from a container, float64 when an
@@ -311,7 +312,7 @@ class WeightBundle:
     preproc_tag: str = PREPROC_TAG
     epsilon: float = DEFAULT_EPSILON
     _objs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _per_call: tuple[int, int] = field(default=(1, 1), init=False, repr=False, compare=False)
+    plan: tuple[Stage, ...] = field(default=(), init=False, repr=False, compare=False)
     dtype: np.dtype = field(default=np.dtype(np.float32), init=False, compare=False)
 
     def __post_init__(self):
@@ -352,8 +353,7 @@ class WeightBundle:
         self._objs = {layer.name: self._build(layer)
                       for layer in spec.layers if param_shapes(layer)}
         self.spec = spec
-        self._per_call = (_patches_per_call(self, 0, im2col=False),
-                          _patches_per_call(self, _tail_start(spec), im2col=True))
+        self.plan = _plan(self)
 
     def _build(self, layer: LayerDef) -> object:
         tensors = {suffix: self.params[f"{layer.name}/{suffix}"] for suffix in param_shapes(layer)}
@@ -428,36 +428,35 @@ def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = Non
     the weights' own dtype and the caller's `x` is never written: a float32
     bundle rounds a float64 patch to float32 here, the rounding a feature
     container stores. One operator call per layer, whatever the batch size.
-    `stop_after` names a layer of the folded network; its output (after any
-    ReLU it owns) is returned and the remaining layers are skipped. Every
-    array held here is this function's own (the input copy, then each
-    operator's new result), so ReLU overwrites it in place and a step holds
-    one copy of its map instead of two.
+    `stop_after` names a layer of the folded network, checked before any
+    runs; its output (after any ReLU it owns) is returned. Every array held
+    here is this function's own (the input copy, then each operator's new
+    result), so ReLU overwrites it in place and a step holds one map, not two.
     """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValidationError(f"network input must be a [B, C, H, W] batch, got shape {x.shape}")
-    return _run(bundle, bundle.spec.layers, x.astype(bundle.dtype), stop_after)
+    layers = bundle.spec.layers
+    if stop_after is not None:
+        layers = layers[:_end(layers, stop_after)]
+    return _run(bundle, layers, x.astype(bundle.dtype))
 
 
-def _run(bundle: WeightBundle, layers: tuple[LayerDef, ...], x: np.ndarray,
-         stop_after: str | None) -> np.ndarray:
+def _run(bundle: WeightBundle, layers: tuple[LayerDef, ...], x: np.ndarray) -> np.ndarray:
     """`layers` on a batch `x` of `bundle.dtype` that the caller gives up."""
     for layer in layers:
         x = _KINDS[layer.kind].forward(x, bundle._objs.get(layer.name))
         if layer.relu:
             x = nn.relu(x)
-        if layer.name == stop_after:
-            return x
-    if stop_after is not None:
-        raise ValidationError(f"no layer named {stop_after!r}")
     return x
 
 
-def _tail_start(spec: ModelSpec) -> int:
-    """Index of the first layer after the last max pool; the layer count when none."""
-    pools = [i for i, layer in enumerate(spec.layers) if layer.kind == "maxpool"]
-    return pools[-1] + 1 if pools else len(spec.layers)
+def _end(layers: tuple[LayerDef, ...], stop_after: str) -> int:
+    """Index just past the first layer named `stop_after`."""
+    for i, layer in enumerate(layers):
+        if layer.name == stop_after:
+            return i + 1
+    raise ValidationError(f"no layer named {stop_after!r}")
 
 
 def _patches_per_call(bundle: WeightBundle, start: int, im2col: bool) -> int:
@@ -475,72 +474,71 @@ def _patches_per_call(bundle: WeightBundle, start: int, im2col: bool) -> int:
     return max(1, weight_bytes // (_WEIGHTS_PER_ACTIVATION * max(sizes) * bundle.dtype.itemsize))
 
 
-def batch_size(bundle: WeightBundle) -> int:
-    """Patches per `run_layers` call in `forward_batch`'s first stage.
+def _plan(bundle: WeightBundle) -> tuple[Stage, ...]:
+    """A validated bundle's stages. The first weighs all weights against one
+    patch's largest output; the layers after the last max pool, weighed alone
+    with each conv's im2col block (`nn.conv2d_same`'s own split would let
+    conv8's grow to half its kernels), are a second stage if that gives more
+    patches per call. One dtype for both, so float32 and float64 plans agree."""
+    layers = bundle.spec.layers
+    tail = max((i + 1 for i, l in enumerate(layers) if l.kind == "maxpool"), default=len(layers))
+    first = _patches_per_call(bundle, 0, im2col=False)
+    last = _patches_per_call(bundle, tail, im2col=True)
+    if last > first:
+        return Stage(0, tail, first), Stage(tail, len(layers), last)
+    return (Stage(0, len(layers), first),)
 
-    ``max(1, weight bytes // (10 * activation bytes))``, where the activation
-    is the largest layer output of one 96x64 patch in `bundle.dtype`. Weights
-    and activations share that dtype, so the rule gives 1 for aug_vggish and
-    4 for fcn_vggish in float32 and in float64 alike. Within a call,
-    `nn.conv2d_same` splits the batch again per layer, so that a layer's
-    patches share one product only while its kernels outweigh twice their
-    im2col block; the two rules together decide how patches share the weight
-    passes up to the last max pool. Worked out once, when the bundle is
-    validated.
-    """
-    return bundle._per_call[0]
+
+def _stage(bundle: WeightBundle, stage: Stage, x: np.ndarray) -> np.ndarray:
+    """One call of `stage`; the first enters through `run_layers`, which perfbench traces."""
+    layers = bundle.spec.layers
+    if stage.start:
+        return _run(bundle, layers[stage.start:stage.stop], x)
+    return run_layers(bundle, x, layers[stage.stop - 1].name if stage.stop < len(layers) else None)
 
 
-def tail_batch_size(bundle: WeightBundle) -> int:
-    """Patches per call of the layers after the last max pool in `forward_batch`.
+def _walk(bundle: WeightBundle, stages: tuple[Stage, ...], x: np.ndarray) -> np.ndarray:
+    """`stages` over `x`, the first one's input: groups of the last stage's
+    `per_call` rows, in which each stage runs in slices of its own, so memory
+    holds one group's maps and one call's activations however many rows."""
+    outs, group = [], stages[-1].per_call
+    for g in range(0, len(x), group):
+        y = x[g:g + group]
+        for stage in stages:
+            n = stage.per_call
+            y = _cat([_stage(bundle, stage, y[i:i + n]) for i in range(0, len(y), n)])
+        outs.append(y)
+    return _cat(outs)
 
-    The same weight-to-activation rule as `batch_size`, applied to those
-    layers alone, with each conv's im2col block counted as one of its
-    activations: conv2d_same's own split would let conv8's im2col grow to
-    half its kernels. It gives 25 for fcn_vggish, whose conv7 and conv8
-    (56.6 MB of its 75 MB in float32) see a 3x2 map, in float32 and float64
-    alike, and 1 for aug_vggish, whose tail is two small dense layers.
-    `sawnet infer` gathers the patches of consecutive inputs into calls of
-    this many. Worked out once, when the bundle is validated.
-    """
-    return bundle._per_call[1]
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def run_stages(bundle: WeightBundle, x: np.ndarray, stages: tuple[Stage, ...]) -> np.ndarray:
+    """Consecutive stages of `bundle.plan` over `x`, a batch of the first one's input.
+    `forward_batch` walks them privately, so a traced forward is one span."""
+    return _walk(bundle, stages, np.asarray(x))
 
 
 def forward_batch(bundle: WeightBundle, patches: np.ndarray,
                   stop_after: str | None = None) -> np.ndarray:
-    """`run_layers` over an ``[N, H, W]`` array of patches: one output per patch,
-    stacked on axis 0. A single patch `p` is ``p[None]``.
+    """``[N, H, W]`` patches through `bundle.plan`, one output row per patch.
 
-    Where `tail_batch_size` exceeds `batch_size` (fcn_vggish), the layers run
-    in two stages. The patches go in groups of `tail_batch_size`; within a
-    group, the layers up to the last max pool run in `run_layers` calls of
-    `batch_size` patches, each sliced straight out of `patches`, and the
-    layers after it run once over the whole group's pooled maps, so the
-    tail's kernels are streamed once per group. Only one group's pooled maps
-    and one call's activations are alive at a time, so memory does not grow
-    with N. Otherwise (aug_vggish, or a `stop_after` at or before the last
-    pool) every layer runs in the `run_layers` calls. Row i is what patch i
-    gives alone, up to the last-bit rounding of a batched matrix product.
+    `stop_after` cuts the plan once, before any layer runs. fcn_vggish runs
+    each 25 patches to pool5 in `run_layers` calls of 4, slices of `patches`,
+    then its tail once over them, streaming the tail's kernels once per 25.
+    Row i is what patch i gives alone, up to a batched product's last bits.
     """
     patches = np.asarray(patches)
     if patches.ndim != 3 or not len(patches):
         raise ValidationError("forward_batch needs an [N >= 1, H, W] array of patches, "
                               f"got shape {patches.shape}")
-    n, group = bundle._per_call
-    start = _tail_start(bundle.spec)
-    tail = bundle.spec.layers[start:]
-    if group > n and (stop_after is None or any(l.name == stop_after for l in tail)):
-        pool = bundle.spec.layers[start - 1].name
-        outs = []
-        for g in range(0, len(patches), group):
-            chunks = patches[g:g + group]
-            pooled = np.concatenate([run_layers(bundle, chunks[i:i + n, None], pool)
-                                     for i in range(0, len(chunks), n)])
-            outs.append(_run(bundle, tail, pooled, stop_after))
-    else:
-        outs = [run_layers(bundle, patches[i:i + n, None], stop_after)
-                for i in range(0, len(patches), n)]
-    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+    stages = bundle.plan
+    if stop_after is not None:
+        stop = _end(bundle.spec.layers, stop_after)
+        stages = tuple(s._replace(stop=min(s.stop, stop)) for s in stages if s.start < stop)
+    return _walk(bundle, stages, patches[:, None])
 
 
 def forward_embedding(bundle: WeightBundle, patches: np.ndarray) -> np.ndarray:

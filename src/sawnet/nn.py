@@ -160,9 +160,8 @@ def conv2d_same(x: np.ndarray, p: ConvParams) -> np.ndarray:
     run, and ``kmat @ cols`` writes the output channel-major. Items of a batch
     share one product only while the kernel matrix outweighs twice their
     im2col block, so a batch never holds more im2col than the larger of half
-    the kernels and one item's block. This split works with
-    `models.batch_size`, which picks how many patches reach this operator
-    together.
+    the kernels and one item's block. This split works with the stages of
+    `bundle.plan`, which pick how many patches reach this operator together.
     """
     x = _check_maps(x, "conv2d_same")
     dtype = np.result_type(x, p.kernels)

@@ -35,7 +35,7 @@ from . import bundle as bundle_io
 from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
 from .frontend import Source, patch_blocks
-from .models import WeightBundle, batch_size, forward_embedding
+from .models import WeightBundle, forward_embedding
 from .nn import DenseParams, dense, log_softmax, softmax
 
 
@@ -124,7 +124,7 @@ def extract_embeddings(
     """Embed labeled clips: mean of all 96-frame patch embeddings per clip.
 
     `clips` yields (clip, label, fold) triples; a clip is any `frontend.Source`,
-    read in blocks of `models.batch_size` patches. Clips that fail with a
+    read in blocks of `bundle.plan[0].per_call` patches. Clips that fail with a
     SawnetError (bad audio, too short) are skipped and reported in the
     returned error list instead of aborting the batch; any other exception is
     a bug and propagates. Items come back sorted by clip_id.
@@ -135,7 +135,7 @@ def extract_embeddings(
     for clip, label, fold in clips:
         try:
             embeddings = [forward_embedding(bundle, patches)
-                          for patches in patch_blocks(clip, batch_size(bundle))]
+                          for patches in patch_blocks(clip, bundle.plan[0].per_call)]
             rows.append(EmbeddingItem(
                 clip_id=clip.source_id,
                 fold=int(fold),

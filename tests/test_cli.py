@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bn_stats, run_cli, save_unfolded, sine_clip
-from sawnet import models, transfer
+from sawnet import cli, models, nn, transfer
 from sawnet.bundle import (load_bundle, read_container, save_bundle, save_spectrogram,
                            write_container)
 from sawnet.evaluation import score_spectrogram
@@ -152,6 +152,15 @@ class TestInfo:
         assert "trainable_params: 18659586" in fcn
         for lines in (aug, fcn):
             assert not any("batchnorm" in line or line.startswith("folded") for line in lines)
+
+    def test_plan_lines(self, tmp_path, model_dir):
+        aug = run_cli("info", "--model", model_dir / "rand4.csnw").stdout.splitlines()
+        assert [line for line in aug if line.startswith("stage:")] == ["stage: conv1..head x1"]
+        path = tmp_path / "fcn3.csnw"
+        save_bundle(models.init_bundle(models.build_fcn_vggish(3), init="zeros"), path)
+        fcn = run_cli("info", "--model", path).stdout.splitlines()
+        assert [line for line in fcn if line.startswith("stage:")] == \
+            ["stage: conv1..pool5 x4", "stage: conv7..gap x25"]
 
     def test_truncated_file_exits_2(self, tmp_path, model_dir):
         broken = tmp_path / "trunc.csnw"
@@ -401,10 +410,11 @@ class TestInfer:
 
 
     def test_inputs_share_calls_and_print_what_each_prints_alone(self, tmp_path):
-        # fcn_vggish runs its tail on 25 patches at a time, gathered across
-        # inputs; in this order the calls hold 10 + 15, then 5 + 20, then
-        # 10 + 9 + 6 patches, the last 6 from a WAV that fails at its third
-        # block, and the file's rows are dropped from a call they shared
+        # fcn_vggish runs its tail, its plan's last stage, on 25 patches at a
+        # time, gathered across inputs; in this order the calls hold 10 + 15,
+        # then 5 + 20, then 10 + 9 + 6 patches, the last 6 from a WAV that
+        # fails at its third block, and the file's rows are dropped from a
+        # call they shared
         rng = np.random.default_rng(93)
         inputs, specs = [], []
         for name, patches in (("a10", 10), ("c20", 20), ("d30", 30)):
@@ -426,7 +436,7 @@ class TestInfer:
         net = models.WeightBundle(models.build_fcn_vggish(3),
                                   random_bn_stats(models.build_fcn_vggish(3), seed=95,
                                                   init_seed=94))
-        assert models.tail_batch_size(net) == 25 and models.batch_size(net) == 4
+        assert [stage.per_call for stage in net.plan] == [4, 25]
         _calibrate_last_layer(net, specs)
         model = tmp_path / "fcn.csnw"
         save_bundle(net, model)
@@ -444,6 +454,36 @@ class TestInfer:
             in together.stderr
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert (manifest["files_ok"], manifest["files_failed"]) == (4, 2)
+
+    def test_first_stage_runs_per_input(self, tmp_path, monkeypatch, capsys):
+        # each input's blocks of 4 patches run to pool5 as they are read; the
+        # 16 pool5 maps then share one tail call
+        model = tmp_path / "fcn.csnw"
+        save_bundle(models.init_bundle(models.build_fcn_vggish(2), init="random", seed=5), model)
+        inputs = []
+        for seed, (name, patches) in enumerate(zip("abcdef", (1, 1, 2, 3, 4, 5))):
+            frames = np.random.default_rng(seed).normal(-4, 2, (96 * patches, 64))
+            save_spectrogram(tmp_path / f"{name}.csnw", LogMelSpectrogram(frames, name))
+            inputs.append(str(tmp_path / f"{name}.csnw"))
+        calls, tails = [], []
+
+        def record(bundle, x, stop_after=None, _run=models.run_layers):
+            calls.append((len(x), stop_after))
+            return _run(bundle, x, stop_after)
+
+        def conv(x, p, _conv=nn.conv2d_same):
+            if p.out_channels == 1024 and p.in_channels == 512:  # conv7
+                tails.append(len(x))
+            return _conv(x, p)
+
+        monkeypatch.setattr(models, "run_layers", record)
+        monkeypatch.setattr(nn, "conv2d_same", conv)
+        assert cli.main(["infer", "--model", str(model), *inputs]) == 0
+        assert calls == [(n, "pool5") for n in (1, 1, 2, 3, 4, 4, 1)]
+        assert tails == [16]
+        assert [json.loads(line)["clip_id"] for line in capsys.readouterr().out.splitlines()] \
+            == list("abcdef")
+
 
 class TestTrainAndCV:
     def test_train_head_writes_container(self, tmp_path, cache_path):

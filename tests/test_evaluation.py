@@ -426,12 +426,12 @@ class TestBlockwiseScoring:
             calls.append(np.array(patches))
             return np.zeros((len(patches), 2))
 
+        net = mock.Mock(plan=(models.Stage(0, 1, step),))  # only its plan is read
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "forward_batch", record)
-            mp.setattr(evaluation, "batch_size", lambda net: step)
-            score_stream(None, clip, positive_class=1)
+            score_stream(net, clip, positive_class=1)
             blocks, calls[:] = list(calls), []
-            whole_clip_scores(None, clip)
+            whole_clip_scores(net, clip)
         [whole] = calls
         assert [len(b) for b in blocks] == [len(c) for c in np.split(
             whole, range(step, len(whole), step))]
@@ -452,8 +452,8 @@ class TestBlockwiseScoring:
     def test_infer_peak_memory_flat_in_length(self, long_wavs, tmp_path, monkeypatch):
         net = models.init_bundle(models.build_aug_vggish(2), init="zeros")
         monkeypatch.setattr(cli, "load_bundle", lambda path: net)
-        monkeypatch.setattr(cli, "forward_batch",
-                            lambda net, patches: np.zeros((len(patches), 2), np.float32))
+        monkeypatch.setattr(cli, "run_stages",
+                            lambda net, x, stages: np.zeros((len(x), 2), np.float32))
 
         def infer(minutes):
             assert cli.main(["infer", "--model", "zeros", str(long_wavs[minutes]),

@@ -312,16 +312,9 @@ class TestForwardBatch:
                                        rtol=0, atol=1e-9)
             np.testing.assert_allclose(embeddings[i], models.run_layers(bundle, x, emb)[0],
                                        rtol=0, atol=1e-9)
-        # the whole list in one run_layers call, whatever batch_size says
+        # the whole list in one run_layers call, whatever the plan says
         np.testing.assert_allclose(models.run_layers(bundle, patches[:, None]), logits,
                                    rtol=0, atol=1e-9)
-
-    def test_batch_size_rule(self, aug_bundle_small, aug_folded_small, fcn_bundle_small,
-                             fcn_folded_small):
-        assert models.batch_size(aug_bundle_small) == 1
-        assert models.batch_size(aug_folded_small) == 1
-        assert models.batch_size(fcn_bundle_small) > 1
-        assert models.batch_size(fcn_folded_small) > 1
 
     def test_batched_embeddings(self, fcn_bundle_small):
         patches = random_patches(range(5))
@@ -371,7 +364,7 @@ class TestForwardBatch:
     @staticmethod
     def _four_patch_peak(bundle):
         patches = random_patches(range(4))
-        assert models.batch_size(bundle) == 4
+        assert bundle.plan[0].per_call == 4
         models.forward_batch(bundle, patches[:1])  # first-call allocations
         tracemalloc.start()
         try:
@@ -437,17 +430,50 @@ class TestForwardBatch:
                 models.run_layers(aug_bundle_small, np.zeros(shape))
 
 
+class TestPlan:
+    """`WeightBundle.plan`: the stages a bundle runs in, built at validation."""
+
+    # aug_vggish: one stage of all 13 folded layers; fcn_vggish: conv1..pool5
+    # (14 layers) at 4 a call, then conv7, conv8, clf and gap at 25 (56.6 MB
+    # of tail weights over 10x conv8's 221 KB im2col block)
+    PLANS = {
+        "aug_bundle_small": [("conv1", "head", 1)],
+        "aug_folded_small": [("conv1", "head", 1)],
+        "fcn_bundle_small": [("conv1", "pool5", 4), ("conv7", "gap", 25)],
+        "fcn_folded_small": [("conv1", "pool5", 4), ("conv7", "gap", 25)],
+    }
+
+    @pytest.mark.parametrize("name", PLANS)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_stages(self, request, as_float64, name, dtype):
+        bundle = request.getfixturevalue(name) if dtype == "float32" else as_float64(name)
+        assert bundle.dtype == dtype
+        layers = bundle.spec.layers
+        assert [(layers[s.start].name, layers[s.stop - 1].name, s.per_call)
+                for s in bundle.plan] == self.PLANS[name]
+        # the stages cover the folded layers in order, each once
+        assert [i for s in bundle.plan for i in range(s.start, s.stop)] == \
+            list(range(len(layers)))
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "fcn_bundle_small"])
+    def test_unknown_stop_after_rejected_before_any_conv(self, request, monkeypatch, name):
+        bundle = request.getfixturevalue(name)
+        convs = []
+        monkeypatch.setattr(nn, "conv2d_same", lambda x, p: convs.append(len(x)))
+        patches = random_patches(range(2))
+        with pytest.raises(ValidationError, match="no layer named 'bn1'"):
+            models.forward_batch(bundle, patches, stop_after="bn1")
+        with pytest.raises(ValidationError, match="no layer named 'bn1'"):
+            models.run_layers(bundle, patches[:, None], "bn1")
+        assert convs == []
+
+
 class TestTwoStageForward:
-    """fcn_vggish runs the layers after pool5 once per `tail_batch_size` patches;
-    aug_vggish, whose tail is two small dense layers, runs in one stage."""
+    """fcn_vggish runs the layers after pool5 once per 25 patches, its plan's
+    second stage; aug_vggish, whose tail is two small dense layers, runs in
+    one stage."""
 
-    T = 25  # fcn_vggish: 56.6 MB of tail weights over 10x conv8's 221 KB im2col block
-
-    @pytest.mark.parametrize("name, expected", [("aug_bundle_small", 1), ("aug_folded_small", 1),
-                                                ("fcn_bundle_small", T), ("fcn_folded_small", T)])
-    def test_tail_batch_size_same_in_both_dtypes(self, request, as_float64, name, expected):
-        assert models.tail_batch_size(request.getfixturevalue(name)) == expected
-        assert models.tail_batch_size(as_float64(name)) == expected
+    T = 25  # fcn_vggish's second stage: patches per call
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_single_patch_forwards(self, fcn_bundle_small, as_float64, dtype):
@@ -551,12 +577,6 @@ class TestFloat32Forward:
         top_two = np.sort(want, axis=1)[:, -2:]
         clear = top_two[:, 1] - top_two[:, 0] > 1e-4
         assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
-
-    @pytest.mark.parametrize("name, expected", [("aug_bundle_small", 1), ("aug_folded_small", 1),
-                                                ("fcn_bundle_small", 4), ("fcn_folded_small", 4)])
-    def test_batch_size_same_in_both_dtypes(self, request, as_float64, name, expected):
-        assert models.batch_size(request.getfixturevalue(name)) == expected
-        assert models.batch_size(as_float64(name)) == expected
 
     def test_input_rounded_once_at_entry(self, aug_bundle_small):
         # a float64 patch and its float32 rounding (what a feature container

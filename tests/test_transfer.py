@@ -441,7 +441,7 @@ class TestExtractEmbeddings:
     def test_batched_fcn_clip_matches_single_patches(self):
         spec = models.build_fcn_vggish(2)
         bundle = models.WeightBundle(spec, random_bn_stats(spec, seed=37, init_seed=36))
-        assert models.batch_size(bundle) < 5  # the clip's patches span two chunks
+        assert bundle.plan[0].per_call < 5  # the clip's patches span two chunks
         clip = frontend.AudioClip(
             np.random.default_rng(38).uniform(-0.3, 0.3, 80000).astype(np.float32),
             16000, "clip-f")
