@@ -316,6 +316,14 @@ class TestForwardBatch:
         np.testing.assert_allclose(models.run_layers(bundle, patches[:, None]), logits,
                                    rtol=0, atol=1e-9)
 
+    def test_batch_size_rule(self, aug_bundle_small, aug_folded_small, fcn_bundle_small,
+                             fcn_folded_small):
+        # the first stage's patches per call
+        assert aug_bundle_small.plan[0].per_call == 1
+        assert aug_folded_small.plan[0].per_call == 1
+        assert fcn_bundle_small.plan[0].per_call > 1
+        assert fcn_folded_small.plan[0].per_call > 1
+
     def test_batched_embeddings(self, fcn_bundle_small):
         patches = random_patches(range(5))
         batched = models.forward_embedding(fcn_bundle_small, patches)
@@ -475,6 +483,12 @@ class TestTwoStageForward:
 
     T = 25  # fcn_vggish's second stage: patches per call
 
+    @pytest.mark.parametrize("name, expected", [("aug_bundle_small", 1), ("aug_folded_small", 1),
+                                                ("fcn_bundle_small", T), ("fcn_folded_small", T)])
+    def test_tail_batch_size_same_in_both_dtypes(self, request, as_float64, name, expected):
+        assert request.getfixturevalue(name).plan[-1].per_call == expected
+        assert as_float64(name).plan[-1].per_call == expected
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_single_patch_forwards(self, fcn_bundle_small, as_float64, dtype):
         bundle = fcn_bundle_small if dtype == np.float32 else as_float64("fcn_bundle_small")
@@ -577,6 +591,12 @@ class TestFloat32Forward:
         top_two = np.sort(want, axis=1)[:, -2:]
         clear = top_two[:, 1] - top_two[:, 0] > 1e-4
         assert np.array_equal(got.argmax(axis=1)[clear], want.argmax(axis=1)[clear])
+
+    @pytest.mark.parametrize("name, expected", [("aug_bundle_small", 1), ("aug_folded_small", 1),
+                                                ("fcn_bundle_small", 4), ("fcn_folded_small", 4)])
+    def test_batch_size_same_in_both_dtypes(self, request, as_float64, name, expected):
+        assert request.getfixturevalue(name).plan[0].per_call == expected
+        assert as_float64(name).plan[0].per_call == expected
 
     def test_input_rounded_once_at_entry(self, aug_bundle_small):
         # a float64 patch and its float32 rounding (what a feature container
