@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: featurize, info, infer, detect, train-head, eval-cv.
+Subcommands: featurize, info, infer, detect, train-head, eval-cv. `train-head`
+writes a bundle, its `--model` with the trained head (`models.with_head`).
 
 Exit codes: 0 on success, 2 on data/model errors, 64 on usage errors.
 `featurize`, `infer` and `detect` report a bad input file on stderr, go on with
@@ -34,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundle import load_bundle, load_spectrogram, save_spectrogram, write_container
-from .errors import SawnetError
+from .bundle import load_bundle, load_spectrogram, save_bundle, save_spectrogram
+from .errors import SawnetError, ValidationError
 from .evaluation import check_positive_class, merge_events, score_stream
 from .frontend import LogMelSpectrogram, log_mel_blocks, patch_blocks, resampled_length
-from .models import WeightBundle, count_params, describe_layer, run_stages
+from .models import WeightBundle, count_params, describe_layer, run_stages, with_head
 from .nn import softmax
 from .transfer import TrainConfig, head_dtype, load_embeddings, run_cv, train_head
 from .wavio import WavReader
@@ -288,18 +289,13 @@ def _train_config(args) -> TrainConfig:
 def cmd_train_head(args) -> int:
     eset = load_embeddings(args.embeddings)
     cfg = _train_config(args)
-    params = train_head(eset, cfg)
-    # config echo lives in the container; the timestamped manifest goes in a
-    # sidecar so repeated runs produce byte-identical weight files
-    header = {
-        "kind": "dense_head",
-        "dim": eset.dim,
-        "num_classes": eset.num_classes,
-        "config": vars(cfg),
-    }
-    write_container(args.out, header, {"head/weights": params.weights, "head/bias": params.bias})
-    manifest = _manifest("train-head", vars(cfg) | {"embeddings": args.embeddings},
-                         [Path(args.embeddings)])
+    model = load_bundle(args.model)
+    if eset.dim != model.spec.embedding_dim:
+        raise ValidationError(f"{eset.dim}-d embeddings for a {model.spec.embedding_dim}-d model")
+    # the timestamped manifest goes in a sidecar, so repeated runs write identical bundles
+    save_bundle(with_head(model, train_head(eset, cfg)), args.out)
+    config = vars(cfg) | {"embeddings": args.embeddings, "model": args.model}
+    manifest = _manifest("train-head", config, [Path(args.embeddings), Path(args.model)])
     manifest["head_dtype"] = str(head_dtype(eset))
     _write_json(Path(args.out).with_suffix(".manifest.json"), manifest)
     return 0
@@ -371,9 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("train-head", help="train the dense head on cached embeddings")
+    p = sub.add_parser("train-head", help="train a model's classifier on cached embeddings")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True, help="output container for the trained head")
+    p.add_argument("--model", required=True, help="the bundle the embeddings came from")
+    p.add_argument("--out", required=True, help="output weight bundle")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train_head)
 

@@ -20,11 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, TooShort, UndefinedMetric
-from .frontend import LogMelSpectrogram, Source, patch_blocks, whole_seconds
+from .frontend import FRAMES_PER_SECOND, LogMelSpectrogram, Source, patch_blocks, whole_seconds
 from .models import WeightBundle, forward_batch
 from .nn import softmax
-
-FRAMES_PER_SECOND = 100  # 10 ms hop
 
 
 @dataclass(frozen=True)
@@ -195,11 +193,3 @@ def accuracy_f1(predictions: Sequence[tuple[int, int]], num_classes: int) -> tup
         f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
     return accuracy, float(f1.mean())
 
-
-def write_pr_csv(path, curve: PRCurve) -> None:
-    """CSV dump: threshold,precision,recall rows plus an AP comment line."""
-    lines = ["threshold,precision,recall"]
-    lines += [f"{t:.6f},{p:.6f},{r:.6f}" for t, p, r in curve.points]
-    lines.append(f"# average_precision={curve.average_precision:.6f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -43,6 +43,7 @@ MEL_FMIN_HZ = 125.0
 MEL_FMAX_HZ = 7500.0
 LOG_OFFSET = 0.01
 PATCH_FRAMES = 96        # 0.96 s of context per network input
+FRAMES_PER_SECOND = SAMPLE_RATE // FRAME_HOP  # 100
 
 PREPROC_TAG = "logmel/16k-hann400-hop160-fft512-mel64-125to7500-ln0.01"
 
@@ -117,7 +118,7 @@ class LogMelSpectrogram:
         had for lengths just short of a whole second.
         """
         if self.num_samples is None:
-            return (self.num_frames + 2) // (SAMPLE_RATE // FRAME_HOP)
+            return (self.num_frames + 2) // FRAMES_PER_SECOND
         return self.num_samples // SAMPLE_RATE
 
 
@@ -186,21 +187,19 @@ def build_mel_filterbank(
     return fb
 
 
-@lru_cache(maxsize=4)
-def _cached_filterbank(num_fft_bins: int, num_bands: int, fmin: float, fmax: float,
-                       sample_rate: int) -> np.ndarray:
-    fb = build_mel_filterbank(num_fft_bins, num_bands, fmin, fmax, sample_rate)
+@lru_cache(maxsize=1)
+def _cached_filterbank() -> np.ndarray:
+    fb = build_mel_filterbank()
     fb.setflags(write=False)
     return fb
 
 
 @lru_cache(maxsize=8)
-def _design_lowpass(sample_rate: int, cutoff_hz: float = _LOWPASS_CUTOFF_HZ,
-                    taps: int = _LOWPASS_TAPS) -> np.ndarray:
+def _design_lowpass(sample_rate: int) -> np.ndarray:
     # Hann-windowed sinc, normalized to unit DC gain so constants pass through.
-    n = np.arange(taps) - (taps - 1) / 2.0
-    nu = cutoff_hz / sample_rate
-    h = 2.0 * nu * np.sinc(2.0 * nu * n) * np.hanning(taps)
+    n = np.arange(_LOWPASS_TAPS) - (_LOWPASS_TAPS - 1) / 2.0
+    nu = _LOWPASS_CUTOFF_HZ / sample_rate
+    h = 2.0 * nu * np.sinc(2.0 * nu * n) * np.hanning(_LOWPASS_TAPS)
     h /= h.sum()
     h.setflags(write=False)
     return h
@@ -283,8 +282,7 @@ def log_mel_spectrogram(clip: AudioClip) -> LogMelSpectrogram:
     frames = frames * _hann_periodic(FRAME_LEN)
     spectrum = np.fft.rfft(frames, n=N_FFT)
     power = spectrum.real**2 + spectrum.imag**2
-    fb = _cached_filterbank(NUM_FFT_BINS, NUM_MEL_BANDS, MEL_FMIN_HZ, MEL_FMAX_HZ, SAMPLE_RATE)
-    mel = power @ fb.T
+    mel = power @ _cached_filterbank().T
     return LogMelSpectrogram(frames=np.log(mel + LOG_OFFSET), source_id=clip.source_id,
                              num_samples=len(x))
 

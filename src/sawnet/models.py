@@ -266,14 +266,18 @@ def fold_spec(spec: ModelSpec) -> ModelSpec:
 
 
 def _validate_chain(spec: ModelSpec) -> None:
-    """Check that layer shapes chain from a [1, 96, 64] patch to [num_classes]."""
+    """Check layer widths from a [1, 96, 64] patch to [num_classes], and `embedding_dim`."""
     if spec.arch_id not in _BUILDERS:
         raise ValidationError(f"unknown arch_id {spec.arch_id!r}")
-    final = _activation_shapes(spec)[-1][0]
-    if final != spec.num_classes:
-        raise ValidationError(f"network ends at width {final}, not {spec.num_classes} classes")
-    if not any(l.name == spec.embedding_layer for l in spec.layers):
+    widths = [shape[0] for shape in _activation_shapes(spec)]  # input, then each layer
+    if widths[-1] != spec.num_classes:
+        raise ValidationError(f"network ends at width {widths[-1]}, not {spec.num_classes} classes")
+    names = [l.name for l in spec.layers]
+    if spec.embedding_layer not in names:
         raise ValidationError(f"embedding layer {spec.embedding_layer!r} not in layer list")
+    if widths[names.index(spec.embedding_layer) + 1] != spec.embedding_dim:
+        raise ValidationError(f"embedding layer {spec.embedding_layer!r} is not "
+                              f"embedding_dim {spec.embedding_dim} wide")
 
 
 class Stage(NamedTuple):
@@ -395,7 +399,6 @@ def init_bundle(
     spec: ModelSpec,
     init: str = "zeros",
     seed: int | None = None,
-    preproc_tag: str = PREPROC_TAG,
     epsilon: float = DEFAULT_EPSILON,
 ) -> WeightBundle:
     """Fresh bundle for a spec: all-zero weights or seeded He-scaled noise.
@@ -418,7 +421,22 @@ def init_bundle(
                 params[key] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(np.float32)
             else:
                 params[key] = np.zeros(shape, dtype=np.float32)
-    return WeightBundle(spec=spec, params=params, preproc_tag=preproc_tag, epsilon=epsilon)
+    return WeightBundle(spec=spec, params=params, epsilon=epsilon)
+
+
+def with_head(bundle: WeightBundle, head: nn.DenseParams) -> WeightBundle:
+    """`bundle`'s canonical folded network at ``head.out_units`` classes, `head`
+    reshaped into the first layer with parameters after the embedding:
+    aug_vggish's dense `head`, or fcn_vggish's 1x1 `clf`, which commutes with
+    the global average pooling after it. Every other tensor is `bundle`'s own."""
+    spec = fold_spec(build_arch(bundle.spec.arch_id, head.out_units))
+    after = [l.name for l in spec.layers].index(spec.embedding_layer) + 1
+    layer = next(l for l in spec.layers[after:] if param_shapes(l))
+    params = dict(bundle.params)  # the layer's two tensors are replaced
+    for (suffix, shape), arr in zip(param_shapes(layer).items(), (head.weights, head.bias)):
+        # a 1x1 conv's kernels get their unit dims; validation checks the rest
+        params[f"{layer.name}/{suffix}"] = arr.reshape(arr.shape + shape[2:])
+    return WeightBundle(spec, params, bundle.preproc_tag, bundle.epsilon)
 
 
 def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = None) -> np.ndarray:
@@ -547,8 +565,4 @@ def forward_embedding(bundle: WeightBundle, patches: np.ndarray) -> np.ndarray:
     out = forward_batch(bundle, patches, stop_after=bundle.spec.embedding_layer)
     if out.ndim == 4:
         out = nn.global_avg_pool(out)
-    if out.shape[1:] != (bundle.spec.embedding_dim,):
-        raise ValidationError(
-            f"embedding has shape {out.shape[1:]}, expected ({bundle.spec.embedding_dim},)"
-        )
     return out

@@ -27,6 +27,12 @@ def model_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def backbone(model_dir):
+    """An aug_vggish bundle: its 256-d embeddings are those of `cache_path`."""
+    return model_dir / "rand4.csnw"
+
+
+@pytest.fixture(scope="module")
 def wav_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-wavs")
     clip = sine_clip(440.0, 2.0)
@@ -35,19 +41,24 @@ def wav_dir(tmp_path_factory):
     return root
 
 
-@pytest.fixture(scope="module")
-def cache_path(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli-cache")
+def separable_set(dim: int) -> transfer.EmbeddingSet:
+    """80 clips of 4 classes in 5 folds, each class a `dim`-d cluster."""
     rng = np.random.default_rng(70)
     items = []
     for label in range(4):
         for i in range(20):
-            vec = rng.normal(0, 0.1, 16)
+            vec = rng.normal(0, 0.1, dim)
             vec[label] += 2.0
             items.append(transfer.EmbeddingItem(f"c{label}{i:02d}", (i % 5) + 1, label, vec))
-    eset = transfer.EmbeddingSet(items=tuple(items), dim=16, num_classes=4)
-    path = root / "cache.csnw"
-    transfer.save_embeddings(path, eset)
+    return transfer.EmbeddingSet(items=tuple(items), dim=dim, num_classes=4)
+
+
+@pytest.fixture(scope="module")
+def cache_path(tmp_path_factory):
+    """A cache of 256-d embeddings, aug_vggish's width, so `train-head` takes
+    it with `model_dir`'s aug_vggish bundles."""
+    path = tmp_path_factory.mktemp("cli-cache") / "cache.csnw"
+    transfer.save_embeddings(path, separable_set(256))
     return path
 
 
@@ -486,29 +497,45 @@ class TestInfer:
 
 
 class TestTrainAndCV:
-    def test_train_head_writes_container(self, tmp_path, cache_path):
+    """`train-head` gets the `backbone` fixture, outside `tmp_path`, so each
+    test's directory holds only what the command wrote."""
+
+    def test_train_head_writes_container(self, tmp_path, cache_path, backbone):
+        # the output is the backbone with the trained head as its classifier
         out = tmp_path / "head.csnw"
-        result = run_cli("train-head", "--embeddings", cache_path, "--out", out,
-                         "--epochs", "10", "--lr", "0.1")
+        result = run_cli("train-head", "--embeddings", cache_path, "--model", backbone,
+                         "--out", out, "--epochs", "10", "--lr", "0.1")
         assert result.returncode == 0
-        from sawnet.bundle import read_container
-
         header, tensors = read_container(out)
-        assert header["kind"] == "dense_head"
-        assert tensors["head/weights"].shape == (4, 16)
+        assert header["kind"] == "weights"
+        assert tensors["head/weights"].shape == (4, 256)
         assert out.with_suffix(".manifest.json").is_file()
+        tuned, model = load_bundle(out), load_bundle(backbone)
+        assert tuned.spec.num_classes == transfer.load_embeddings(cache_path).num_classes == 4
+        assert set(tuned.params) == set(model.params)
+        for key, arr in model.params.items():
+            if not key.startswith("head/"):
+                assert np.array_equal(tuned.params[key], arr)
+        head = transfer.train_head(transfer.load_embeddings(cache_path),
+                                   transfer.TrainConfig(learning_rate=0.1, epochs=10))
+        assert np.array_equal(tuned.params["head/weights"], head.weights)
+        assert np.array_equal(tuned.params["head/bias"], head.bias)
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["config"]["model"] == str(backbone)
+        assert sorted(manifest["inputs"]) == sorted([str(cache_path), str(backbone)])
 
-    def test_train_head_byte_reproducible(self, tmp_path, cache_path):
+    def test_train_head_byte_reproducible(self, tmp_path, cache_path, backbone):
         outs = [tmp_path / "h1.csnw", tmp_path / "h2.csnw"]
         for out in outs:
-            assert run_cli("train-head", "--embeddings", cache_path, "--out", out,
-                           "--epochs", "5", "--seed", "7").returncode == 0
+            assert run_cli("train-head", "--embeddings", cache_path, "--model", backbone,
+                           "--out", out, "--epochs", "5", "--seed", "7").returncode == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("flag", ["--lr", "--l2"])
-    def test_train_head_rejects_non_finite_settings(self, tmp_path, cache_path, flag):
+    def test_train_head_rejects_non_finite_settings(self, tmp_path, cache_path, backbone, flag):
         out = tmp_path / "head.csnw"
-        result = run_cli("train-head", "--embeddings", cache_path, "--out", out, flag, "nan")
+        result = run_cli("train-head", "--embeddings", cache_path,
+                         "--model", backbone, "--out", out, flag, "nan")
         assert result.returncode == 2
         assert "ConfigError" in result.stderr
         assert not out.exists() and not out.with_suffix(".manifest.json").exists()
@@ -527,12 +554,13 @@ class TestTrainAndCV:
         assert rows[0] == "fold,accuracy,macro_f1,num_clips"
         assert len(rows) == 7 and rows[-1].startswith("mean,")
 
-    def test_reports_identical_apart_from_timestamp(self, tmp_path, cache_path):
+    def test_reports_identical_apart_from_timestamp(self, tmp_path, cache_path, backbone):
         # the eval-cv report and the train-head manifest, each from two runs
-        for command, out, report in (("eval-cv", "r{}.json", "r{}.json"),
-                                     ("train-head", "h{}.csnw", "h{}.manifest.json")):
+        for command, out, report, extra in (
+                ("eval-cv", "r{}.json", "r{}.json", ()),
+                ("train-head", "h{}.csnw", "h{}.manifest.json", ("--model", backbone))):
             for i in (1, 2):
-                assert run_cli(command, "--embeddings", cache_path, "--out",
+                assert run_cli(command, "--embeddings", cache_path, *extra, "--out",
                                tmp_path / out.format(i), "--epochs", "5").returncode == 0
             texts = [re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": "X"',
                             (tmp_path / report.format(i)).read_text()) for i in (1, 2)]
@@ -540,31 +568,84 @@ class TestTrainAndCV:
             assert json.loads(texts[0])["head_dtype"] == "float32"
 
     @pytest.mark.parametrize("meta", [5, {"fold": "x", "label": 0}])
-    def test_malformed_clip_metadata_exits_2(self, tmp_path, meta):
+    def test_malformed_clip_metadata_exits_2(self, tmp_path, backbone, meta):
         cache = tmp_path / "cache.csnw"
-        write_container(cache, {"kind": "embeddings", "dim": 2, "num_classes": 2,
-                                "clips": {"a": meta}}, {"a": np.zeros(2)})
+        write_container(cache, {"kind": "embeddings", "dim": 256, "num_classes": 2,
+                                "clips": {"a": meta}}, {"a": np.zeros(256)})
         out = tmp_path / "out.csnw"
-        for command in ("train-head", "eval-cv"):
-            result = run_cli(command, "--embeddings", cache, "--out", out)
+        for command, extra in (("train-head", ("--model", backbone)),
+                               ("eval-cv", ())):
+            result = run_cli(command, "--embeddings", cache, *extra, "--out", out)
             assert result.returncode == 2
             assert "ValidationError: clip 'a'" in result.stderr and not result.stdout
             assert sorted(tmp_path.iterdir()) == [cache]
 
-    def test_non_finite_embedding_exits_2_before_training(self, tmp_path):
+    def test_non_finite_embedding_exits_2_before_training(self, tmp_path, backbone):
         cache = tmp_path / "cache.csnw"
         clips = {f"c{i}": {"fold": i % 2 + 1, "label": i % 2} for i in range(4)}
-        vectors = {c: np.full(2, float(i)) for i, c in enumerate(clips)}
-        vectors["c2"] = np.array([0.0, np.nan])
-        write_container(cache, {"kind": "embeddings", "dim": 2, "num_classes": 2,
+        vectors = {c: np.full(256, float(i)) for i, c in enumerate(clips)}
+        vectors["c2"][1] = np.nan
+        write_container(cache, {"kind": "embeddings", "dim": 256, "num_classes": 2,
                                 "clips": clips}, vectors)
-        for command, out in (("train-head", "head.csnw"), ("eval-cv", "report.json")):
-            result = run_cli(command, "--embeddings", cache, "--out", tmp_path / out,
+        for command, out, extra in (
+                ("train-head", "head.csnw", ("--model", backbone)),
+                ("eval-cv", "report.json", ())):
+            result = run_cli(command, "--embeddings", cache, *extra, "--out", tmp_path / out,
                              "--folds" if command == "eval-cv" else "--epochs", "2")
             assert result.returncode == 2
             assert "ValidationError: clip 'c2': embedding has non-finite values" \
                 in result.stderr and not result.stdout
             assert sorted(tmp_path.iterdir()) == [cache]
+
+    @pytest.mark.parametrize("arch", ["aug", "fcn"])
+    def test_infer_on_trained_bundle_gives_evaluate_head(self, tmp_path, backbone, arch):
+        # a single-patch clip's mean embedding is its one patch's, so `infer`
+        # on the written bundle prints the head's own probabilities
+        if arch == "fcn":
+            backbone = tmp_path / "fcn.csnw"
+            save_bundle(models.init_bundle(models.build_fcn_vggish(2), init="random", seed=5),
+                        backbone)
+        rng = np.random.default_rng(41)
+        t = np.arange(16000) / 16000
+        wavs, clips = tmp_path / "wavs", []
+        wavs.mkdir()
+        for i in range(20):
+            label = i % 3
+            samples = 0.3 * np.sin(2 * np.pi * (300 + 900 * label) * t)
+            data = encode_wav(samples + rng.normal(0, 0.05, t.shape), 16000)
+            (wavs / f"clip{i:02d}.wav").write_bytes(data)
+            clips.append((decode_wav(data, f"clip{i:02d}"), label, i % 5 + 1))
+        eset, errors = transfer.extract_embeddings(load_bundle(backbone), clips)
+        assert errors == [] and eset.num_classes == 3
+        cache, tuned = tmp_path / "cache.csnw", tmp_path / "tuned.csnw"
+        transfer.save_embeddings(cache, eset)
+        assert run_cli("train-head", "--embeddings", cache, "--model", backbone, "--out", tuned,
+                       "--epochs", "20", "--lr", "0.1").returncode == 0
+        assert load_bundle(tuned).spec.num_classes == 3
+        result = run_cli("infer", "--model", tuned, wavs)
+        assert result.returncode == 0
+        rows = [json.loads(line) for line in result.stdout.splitlines()]
+        loaded = transfer.load_embeddings(cache)
+        head = transfer.train_head(loaded, transfer.TrainConfig(learning_rate=0.1, epochs=20))
+        _, _, scores = transfer.evaluate_head(head, loaded)
+        assert [r["clip_id"] for r in rows] == [s.clip_id for s in scores]
+        for row, score in zip(rows, scores):
+            np.testing.assert_allclose(row["probs"], score.probabilities, rtol=0, atol=1e-5)
+            assert row["predicted"] == score.predicted
+
+    def test_embedding_dim_mismatch_exits_2_before_training(self, tmp_path, backbone,
+                                                            monkeypatch, capsys):
+        # 16-d embeddings cannot feed aug_vggish's 256-d head
+        cache = tmp_path / "cache.csnw"
+        transfer.save_embeddings(cache, separable_set(16))
+        trained = []
+        monkeypatch.setattr(cli, "train_head", lambda *a: trained.append(a))
+        out = tmp_path / "tuned.csnw"
+        assert cli.main(["train-head", "--embeddings", str(cache),
+                         "--model", str(backbone), "--out", str(out)]) == 2
+        assert "ValidationError: 16-d embeddings for a 256-d model" in capsys.readouterr().err
+        assert trained == []
+        assert sorted(tmp_path.iterdir()) == [cache]
 
     def test_negative_seed_exits_2(self, tmp_path, cache_path):
         out = tmp_path / "report.json"

@@ -539,14 +539,3 @@ class TestBlockwiseScoring:
         assert cli.main(["featurize", str(path), "--out-dir", str(tmp_path / "feat")]) == 2
         assert not (tmp_path / "feat" / "nan.csnw").exists()
         assert capsys.readouterr().err.count("nan.wav: DecodeError") == 2
-
-
-class TestPRCsv:
-    def test_file_layout(self, tmp_path):
-        curve = pr_curve([(0.9, 1), (0.8, 0), (0.7, 1)])
-        path = tmp_path / "curve.csv"
-        evaluation.write_pr_csv(path, curve)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "threshold,precision,recall"
-        assert len(lines) == 5
-        assert lines[-1].startswith("# average_precision=0.8333")

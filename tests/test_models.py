@@ -1,6 +1,8 @@
 """Architecture structure, parameter counting, forwards, and BN folding."""
 
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,6 +273,14 @@ class TestBundleValidation:
                                 embedding_layer="gap", embedding_dim=8)
         with pytest.raises(ValidationError):
             models.init_bundle(spec, init="zeros")
+
+    @pytest.mark.parametrize("build", [models.build_aug_vggish, models.build_fcn_vggish])
+    def test_embedding_dim_checked_at_construction(self, build):
+        # the embedding layer's width (channels, for fcn_vggish's map) is
+        # checked when the bundle is made, not when an embedding is asked for
+        params = models.init_bundle(build(2)).params
+        with pytest.raises(ValidationError, match="is not embedding_dim 99 wide"):
+            models.WeightBundle(replace(build(2), embedding_dim=99), params)
 
 
 @pytest.fixture(scope="module")
@@ -711,3 +721,44 @@ class TestLayerKindTable:
 def fcn_folded_small(fcn_bundle_small):
     """The same network built from its already-folded tensors."""
     return models.WeightBundle(fcn_bundle_small.spec, dict(fcn_bundle_small.params))
+
+
+class TestWithHead:
+    """A dense head on the embedding becomes the network's classifier."""
+
+    @pytest.mark.parametrize("name", ["aug_bundle_small", "fcn_bundle_small"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_head_becomes_the_classifier(self, request, as_float64, name, dtype):
+        backbone = request.getfixturevalue(name) if dtype == "float32" else as_float64(name)
+        rng = np.random.default_rng(31)
+        d = backbone.spec.embedding_dim
+        head = nn.DenseParams(rng.normal(0, 0.1, (5, d)).astype(dtype),
+                              rng.normal(0, 0.1, 5).astype(dtype))
+        composed = models.with_head(backbone, head)
+        arch = backbone.spec.arch_id
+        assert composed.spec == models.fold_spec(models.build_arch(arch, 5))
+        assert composed.dtype == backbone.dtype
+        weights, bias = (("head/weights", "head/bias") if arch == models.ARCH_AUG_VGGISH
+                         else ("clf/kernels", "clf/bias"))
+        assert set(composed.params) == set(backbone.params)
+        for key, arr in backbone.params.items():
+            if key not in (weights, bias):
+                assert composed.params[key] is arr  # the backbone's own arrays
+        np.testing.assert_array_equal(composed.params[weights].reshape(5, d), head.weights)
+        np.testing.assert_array_equal(composed.params[bias], head.bias)
+        patches = random_patches(range(3))
+        embeddings = models.forward_embedding(backbone, patches)
+        assert np.array_equal(models.forward_embedding(composed, patches), embeddings)
+        want = nn.dense(embeddings, head)
+        np.testing.assert_allclose(models.forward_batch(composed, patches), want, rtol=0,
+                                   atol=1e-9 if dtype == "float64" else 1e-4)
+
+    @pytest.mark.parametrize("name, key, shape", [
+        ("aug_bundle_small", "head/weights", "(3, 1024)"),
+        ("fcn_bundle_small", "clf/kernels", "(3, 256, 1, 1)")])
+    def test_head_of_another_width_rejected(self, request, name, key, shape):
+        backbone = request.getfixturevalue(name)
+        d = 1280 - backbone.spec.embedding_dim  # the other network's width
+        head = nn.DenseParams(np.zeros((3, d), np.float32), np.zeros(3, np.float32))
+        with pytest.raises(ValidationError, match=re.escape(f"'{key}' has shape {shape}")):
+            models.with_head(backbone, head)
