@@ -95,7 +95,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError("truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise FormatError(f"header is not valid JSON: {e}") from e
         if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
             raise FormatError("header must be a JSON object with a 'tensors' manifest")
@@ -108,17 +108,21 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise FormatError(f"tensor {name!r} was cut short while reading")
             arr.setflags(write=False)
-            tensors[name] = arr.reshape(shape)
+            try:
+                tensors[name] = arr.reshape(shape)
+            except ValueError as e:  # zero-size, but over 64 dims or one numpy cannot size
+                raise FormatError(f"tensor {name!r} has unusable shape {shape}: {e}") from e
     return header, tensors
 
 
 def _check_manifest(header: dict, payload_len: int) -> list[tuple[str, list, int, int]]:
     """Validate the tensor manifest against a payload of `payload_len` bytes.
 
-    Returns (name, shape, offset, count) per tensor, in manifest order.
+    Returns (name, shape, offset, count) per tensor, in manifest order. Sizes
+    and offsets must be JSON integers, which `true` and `false` are not.
     """
     declared = header.get("payload_bytes", payload_len)
-    if not isinstance(declared, int) or declared < 0:
+    if type(declared) is not int or declared < 0:
         raise FormatError("payload_bytes must be a non-negative integer")
     if payload_len < declared:
         raise FormatError(f"truncated payload: {payload_len} of {declared} declared bytes")
@@ -129,11 +133,11 @@ def _check_manifest(header: dict, payload_len: int) -> list[tuple[str, list, int
             raise FormatError("manifest entries must be JSON objects")
         name, shape, dtype, offset = (entry.get(k) for k in ("name", "shape", "dtype", "offset"))
         if not isinstance(name, str) or not isinstance(shape, list) or \
-                not all(isinstance(d, int) and d >= 0 for d in shape):
+                not all(type(d) is int and d >= 0 for d in shape):
             raise FormatError(f"malformed manifest entry {entry!r}")
         if dtype != "f32":
             raise FormatError(f"tensor {name!r} has unsupported dtype {dtype!r}")
-        if not isinstance(offset, int) or offset < 0:
+        if type(offset) is not int or offset < 0:
             raise FormatError(f"tensor {name!r} has invalid offset {offset!r}")
         if name in names:
             raise ValidationError(f"duplicate tensor name {name!r} in manifest")
@@ -165,7 +169,7 @@ def save_bundle(bundle: WeightBundle, path) -> None:
         "kind": "weights",
         "arch_id": bundle.spec.arch_id,
         "num_classes": bundle.spec.num_classes,
-        "preproc_tag": bundle.preproc_tag,
+        "preproc_tag": PREPROC_TAG,
         "epsilon": bundle.epsilon,
         "folded": True,
     }
@@ -208,8 +212,7 @@ def load_bundle(path) -> WeightBundle:
         spec = fold_spec(spec)
     # the read-only float32 tensors become the weights as they are, uncopied,
     # or are folded into new ones, each stored tensor dropped as it goes
-    return WeightBundle(spec=spec, params=tensors, preproc_tag=preproc_tag,
-                        epsilon=epsilon)
+    return WeightBundle(spec=spec, params=tensors, epsilon=epsilon)
 
 
 def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
@@ -228,7 +231,7 @@ def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
 def load_spectrogram(path) -> LogMelSpectrogram:
     """Load a spectrogram container, checking its preproc_tag like `load_bundle`
     and any frame timing it records against the convention; the frames are
-    the container's read-only float32 `logmel` tensor as read."""
+    the container's read-only float32 `logmel` tensor as read, which must be finite."""
     header, tensors = read_container(path)
     preproc_tag = header.get("preproc_tag", PREPROC_TAG)
     if preproc_tag != PREPROC_TAG:
@@ -245,6 +248,8 @@ def load_spectrogram(path) -> LogMelSpectrogram:
     if frames.ndim != 2 or frames.shape[1] != NUM_MEL_BANDS or not frames.shape[0]:
         raise ValidationError(f"logmel tensor must be [frames >= 1, {NUM_MEL_BANDS}], "
                               f"got {frames.shape}")
+    if not np.isfinite([frames.min(), frames.max()]).all():  # scans without a frames-sized mask
+        raise ValidationError("logmel tensor has non-finite values")
     num_samples = header.get("num_samples")
     if num_samples is not None and (
             not isinstance(num_samples, int) or num_samples < FRAME_LEN

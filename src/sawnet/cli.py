@@ -38,7 +38,8 @@ from . import __version__
 from .bundle import load_bundle, load_spectrogram, save_bundle, save_spectrogram
 from .errors import SawnetError, ValidationError
 from .evaluation import check_positive_class, merge_events, score_stream
-from .frontend import LogMelSpectrogram, log_mel_blocks, patch_blocks, resampled_length
+from .frontend import (PREPROC_TAG, LogMelSpectrogram, log_mel_blocks, patch_blocks,
+                       resampled_length)
 from .models import WeightBundle, count_params, describe_layer, run_stages, with_head
 from .nn import softmax
 from .transfer import TrainConfig, head_dtype, load_embeddings, run_cv, train_head
@@ -179,7 +180,7 @@ def cmd_info(args) -> int:
     spec = bundle.spec
     print(f"arch_id: {spec.arch_id}")
     print(f"num_classes: {spec.num_classes}")
-    print(f"preproc_tag: {bundle.preproc_tag}")
+    print(f"preproc_tag: {PREPROC_TAG}")
     print(f"epsilon: {bundle.epsilon}")
     print("layers:")
     for layer in spec.layers:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, ValidationError
-from .frontend import NUM_MEL_BANDS, PATCH_FRAMES, PREPROC_TAG
+from .frontend import NUM_MEL_BANDS, PATCH_FRAMES
 
 ARCH_AUG_VGGISH = "aug_vggish"
 ARCH_FCN_VGGISH = "fcn_vggish"
@@ -167,18 +167,18 @@ class _Kind(NamedTuple):
     ``(C, H, W)`` or ``(K,)``, or None when the layer cannot take it.
     `forward(x, params)` runs the layer on a batch, ``[B, C, H, W]`` or
     ``[B, K]``. `shapes(layer)` names its parameter tensors,
-    `build(layer, tensors, epsilon)` makes its `nn` params object from them
-    (which rejects non-finite values) and `show(layer)` is its `sawnet info`
-    text. A forward looks up `nn.<op>` when it runs, so an operator replaced
-    on the module (by a tracer or a test) is the one called. A batch norm is
-    only stored, never run: it has tensors and a params object, which
-    validation folds into the conv before it.
+    `build(layer, tensors)` makes its `nn` params object from them (which
+    rejects non-finite values) and `show(layer)` is its `sawnet info` text.
+    A forward looks up `nn.<op>` when it runs, so an operator replaced on the
+    module (by a tracer or a test) is the one called. A batch norm is only
+    stored, never run: it has tensors but no params object, and validation
+    checks them and folds them into the conv before it.
     """
 
     out_shape: Callable[[LayerDef, tuple], tuple | None] | None = None
     forward: Callable[[np.ndarray, object], np.ndarray] | None = None
     shapes: Callable[[LayerDef], dict] = lambda layer: {}
-    build: Callable[[LayerDef, dict, float], object] | None = None
+    build: Callable[[LayerDef, dict], object] | None = None
     show: Callable[[LayerDef], str] = lambda layer: ""
 
 
@@ -188,12 +188,10 @@ _KINDS = {
         forward=lambda x, p: nn.conv2d_same(x, p),
         shapes=lambda l: {"kernels": (l.out_ch, l.in_ch, l.kernel, l.kernel),
                           "bias": (l.out_ch,)},
-        build=lambda l, t, epsilon: nn.ConvParams(t["kernels"], t["bias"]),
+        build=lambda l, t: nn.ConvParams(t["kernels"], t["bias"]),
         show=lambda l: f"{l.in_ch}->{l.out_ch} {l.kernel}x{l.kernel}"),
     "batchnorm": _Kind(
-        shapes=lambda l: dict.fromkeys(("gamma", "beta", "mean", "var"), (l.channels,)),
-        build=lambda l, t, epsilon: nn.BatchNormParams(
-            t["gamma"], t["beta"], t["mean"], t["var"], epsilon=epsilon)),
+        shapes=lambda l: dict.fromkeys(("gamma", "beta", "mean", "var"), (l.channels,))),
     "maxpool": _Kind(
         out_shape=lambda l, s: ((s[0], s[1] // 2, s[2] // 2)
                                 if len(s) == 3 and min(s[1:]) >= 2 else None),
@@ -205,7 +203,7 @@ _KINDS = {
         out_shape=lambda l, s: (l.out_units,) if s == (l.in_units,) else None,
         forward=lambda x, p: nn.dense(x, p),
         shapes=lambda l: {"weights": (l.out_units, l.in_units), "bias": (l.out_units,)},
-        build=lambda l, t, epsilon: nn.DenseParams(t["weights"], t["bias"]),
+        build=lambda l, t: nn.DenseParams(t["weights"], t["bias"]),
         show=lambda l: f"{l.in_units}->{l.out_units}"),
 }
 
@@ -293,8 +291,7 @@ class WeightBundle:
     """A ModelSpec plus its named parameter tensors; immutable once validated.
 
     `params` maps "<layer>/<tensor>" to arrays, e.g. "conv1/kernels",
-    "bn1/gamma", "fc1/weights". `epsilon` is shared by every batch-norm
-    layer; `preproc_tag` records the frontend convention the weights expect.
+    "bn1/gamma", "fc1/weights". `epsilon` is shared by every batch-norm layer.
 
     Validation folds every batch norm into the conv before it: afterwards
     `spec` is `fold_spec` of the given layer list and `params` holds only the
@@ -313,7 +310,6 @@ class WeightBundle:
 
     spec: ModelSpec
     params: dict[str, np.ndarray]
-    preproc_tag: str = PREPROC_TAG
     epsilon: float = DEFAULT_EPSILON
     _objs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plan: tuple[Stage, ...] = field(default=(), init=False, repr=False, compare=False)
@@ -350,10 +346,7 @@ class WeightBundle:
         # fold_spec has checked that each batch norm directly follows its conv
         for conv, layer in zip(self.spec.layers, self.spec.layers[1:]):
             if layer.kind == "batchnorm":
-                bn = self._build(layer)
-                for suffix in param_shapes(layer):
-                    del self.params[f"{layer.name}/{suffix}"]
-                self._fold(conv.name, bn)
+                self._fold(conv.name, layer.name)
         self._objs = {layer.name: self._build(layer)
                       for layer in spec.layers if param_shapes(layer)}
         self.spec = spec
@@ -362,24 +355,36 @@ class WeightBundle:
     def _build(self, layer: LayerDef) -> object:
         tensors = {suffix: self.params[f"{layer.name}/{suffix}"] for suffix in param_shapes(layer)}
         try:
-            return _KINDS[layer.kind].build(layer, tensors, self.epsilon)
+            return _KINDS[layer.kind].build(layer, tensors)
         except nn.ShapeError as e:
             raise ValidationError(f"layer {layer.name}: {e}") from e
 
-    def _fold(self, conv: str, bn: nn.BatchNormParams) -> None:
+    def _fold(self, conv: str, bn: str) -> None:
         """Replace conv `conv`'s tensors by ``kernels * scale`` and
-        ``(bias - mean) * scale + beta``, computed in float64 and rounded to
-        the bundle's dtype.
+        ``(bias - mean) * scale + beta``, ``scale = gamma / sqrt(var + epsilon)``,
+        from batch norm `bn`'s tensors, which are dropped and must be finite
+        with ``var >= 0``; computed in float64 and rounded to the bundle's dtype.
 
         The kernels are multiplied in float64 straight into one new array of
         the bundle's dtype (numpy casts a small buffer at a time, so no
         float64 copy of a kernel is made), and the stored kernels are dropped
         as soon as the new ones are whole.
         """
+        stats = {suffix: self.params.pop(f"{bn}/{suffix}")
+                 for suffix in ("gamma", "beta", "mean", "var")}
+        for suffix, arr in stats.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"layer {bn}: {suffix} contains non-finite values")
+        gamma, beta, mean, var = stats.values()
+        if np.any(var < 0):
+            raise ValidationError(f"layer {bn}: var entries must be >= 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ValidationError(f"layer {bn}: epsilon {self.epsilon!r} must be finite and > 0")
+        scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + self.epsilon)
         kernels, bias = self.params.pop(f"{conv}/kernels"), self.params.pop(f"{conv}/bias")
-        folded = np.multiply(kernels, bn.scale[:, None, None, None], dtype=np.float64,
+        folded = np.multiply(kernels, scale[:, None, None, None], dtype=np.float64,
                              out=np.empty(kernels.shape, self.dtype), casting="unsafe")
-        bias = ((bias.astype(np.float64) - bn.running_mean) * bn.scale + bn.beta).astype(self.dtype)
+        bias = ((bias.astype(np.float64) - mean) * scale + beta).astype(self.dtype)
         for suffix, arr in (("kernels", folded), ("bias", bias)):
             arr.setflags(write=False)
             self.params[f"{conv}/{suffix}"] = arr
@@ -436,7 +441,7 @@ def with_head(bundle: WeightBundle, head: nn.DenseParams) -> WeightBundle:
     for (suffix, shape), arr in zip(param_shapes(layer).items(), (head.weights, head.bias)):
         # a 1x1 conv's kernels get their unit dims; validation checks the rest
         params[f"{layer.name}/{suffix}"] = arr.reshape(arr.shape + shape[2:])
-    return WeightBundle(spec, params, bundle.preproc_tag, bundle.epsilon)
+    return WeightBundle(spec, params, bundle.epsilon)
 
 
 def run_layers(bundle: WeightBundle, x: np.ndarray, stop_after: str | None = None) -> np.ndarray:

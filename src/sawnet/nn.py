@@ -19,9 +19,6 @@ copies, reject non-finite values, and prepare what every call needs once at
 construction: a conv keeps its kernels as an ``[out, in*k*k]`` matrix.
 `models.WeightBundle` builds them on its read-only arrays in the bundle's own
 dtype, so each tensor is scanned once and a network forward casts no weight.
-Batch norm has parameters but no operator: `BatchNormParams` checks the
-stored statistics and gives the per-channel scale that `models.WeightBundle`
-folds into the conv before it.
 
 Nothing here has a backward path: `transfer.train_head` forms the dense
 head's gradient itself (softmax minus one-hot, times the inputs), and
@@ -82,39 +79,6 @@ class ConvParams:
     @property
     def in_channels(self) -> int:
         return self.kernels.shape[1]
-
-
-@dataclass(frozen=True)
-class BatchNormParams:
-    """Per-channel affine renormalization statistics (inference form).
-
-    `scale` = gamma / sqrt(var + eps) is computed once, in float64; at
-    inference batch norm is ``(x - mean) * scale + beta``.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    epsilon: float = 1e-5
-    scale: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            object.__setattr__(self, name, _readonly(getattr(self, name), name))
-        c = self.gamma.shape
-        if len(c) != 1:
-            raise ShapeError("batch-norm parameters must be 1-D per-channel vectors")
-        for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != c:
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {c}")
-        if np.any(self.running_var < 0):
-            raise ShapeError("running_var entries must be >= 0")
-        if not 0 < self.epsilon < np.inf:
-            raise ShapeError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        scale = self.gamma.astype(np.float64) / np.sqrt(
-            self.running_var.astype(np.float64) + self.epsilon)
-        object.__setattr__(self, "scale", _readonly(scale, "scale"))
 
 
 @dataclass(frozen=True)

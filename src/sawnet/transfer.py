@@ -189,6 +189,8 @@ def train_head(train: EmbeddingSet, cfg: TrainConfig) -> DenseParams:
     """
     if not train.items:
         raise ConfigError("training set is empty")
+    if train.num_classes < 2:
+        raise ConfigError(f"a head needs num_classes >= 2, got {train.num_classes}")
     x, y, _ = _design_matrix(train)
     return _sgd(x, y, np.arange(len(y)), train.num_classes, cfg)
 
@@ -256,6 +258,8 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
     """
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
+    if eset.num_classes < 2:
+        raise ConfigError(f"a head needs num_classes >= 2, got {eset.num_classes}")
     folds_present = {item.fold for item in eset.items}
     if any(f < 1 or f > k for f in folds_present):
         raise ConfigError(f"fold ids {sorted(folds_present)} outside [1, {k}]")

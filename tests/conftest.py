@@ -153,7 +153,7 @@ def float64_copy(bundle: models.WeightBundle) -> models.WeightBundle:
     """The same bundle with float64 tensors: the float64 reference path."""
     return models.WeightBundle(
         spec=bundle.spec, params={k: np.asarray(v, np.float64) for k, v in bundle.params.items()},
-        preproc_tag=bundle.preproc_tag, epsilon=bundle.epsilon)
+        epsilon=bundle.epsilon)
 
 
 def random_patch(seed: int = 0) -> np.ndarray:

@@ -142,6 +142,36 @@ class TestCorruption:
         with pytest.raises(FormatError):
             bundle.read_container(path)
 
+    def test_deeply_nested_header(self, tmp_path):
+        path = tmp_path / "deep.csnw"
+        path.write_bytes(b"CSNW" + struct.pack("<IQ", 1, 100_000) + b"[" * 100_000)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            bundle.read_container(path)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("shape", [200, True], "malformed manifest entry"),
+        ("shape", [True, 64], "malformed manifest entry"),
+        ("offset", True, "invalid offset True"),
+        ("payload_bytes", True, "payload_bytes must be a non-negative integer"),
+        ("payload_bytes", False, "payload_bytes must be a non-negative integer")])
+    def test_boolean_sizes_rejected(self, tmp_path, field, value, error):
+        # JSON true is a Python int: it was read as offset 1, or size 1
+        entry = {"name": "logmel", "shape": [200, 64], "dtype": "f32", "offset": 0}
+        header = {"kind": "logmel", "tensors": [entry], "payload_bytes": 200 * 64 * 4 + 4}
+        (entry if field != "payload_bytes" else header)[field] = value
+        path = tmp_path / "bool.csnw"
+        path.write_bytes(make_container(header, bytes(200 * 64 * 4 + 4)))
+        with pytest.raises(FormatError, match=error):
+            bundle.read_container(path)
+
+    @pytest.mark.parametrize("shape", [[0] * 65, [0, 2**62, 2**62], [0, 10**30]])
+    def test_empty_shape_numpy_cannot_make(self, tmp_path, shape):
+        header = {"tensors": [{"name": "t", "shape": shape, "dtype": "f32", "offset": 0}]}
+        path = tmp_path / "empty.csnw"
+        path.write_bytes(make_container(header, b""))
+        with pytest.raises(FormatError, match="unusable shape"):
+            bundle.read_container(path)
+
     def test_manifest_shape_longer_than_payload(self, tmp_path):
         # manifest declares 64 floats, payload holds only 63
         header = {
@@ -356,6 +386,44 @@ class TestFuzzedInput:
 
         check()
 
+    def test_arbitrary_manifest_values_rejected_cleanly(self, tmp_path):
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        from sawnet.errors import SawnetError
+
+        # a spectrogram container whose manifest fields are each kept, dropped
+        # or replaced by any JSON value loads or fails with a SawnetError
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=10)
+        fields = ("name", "shape", "dtype", "offset", "payload_bytes")
+        path = tmp_path / "manifest.csnw"
+
+        sizes = st.lists(st.integers(-1, 100) | st.booleans(), max_size=3)
+
+        @given(st.dictionaries(st.sampled_from(fields), json_values | sizes),
+               st.sets(st.sampled_from(fields)))
+        @settings(max_examples=200, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        def check(changes, dropped):
+            entry = {"name": "logmel", "shape": [100, 64], "dtype": "f32", "offset": 0}
+            header = {"kind": "logmel", "tensors": [entry], "payload_bytes": 100 * 64 * 4}
+            for key in fields:
+                target = header if key == "payload_bytes" else entry
+                if key in changes:
+                    target[key] = changes[key]
+                if key in dropped:
+                    target.pop(key)
+            path.write_bytes(make_container(header, bytes(100 * 64 * 4)))
+            try:
+                bundle.load_spectrogram(path)
+            except SawnetError:
+                pass
+
+        check()
+
     def test_mangled_valid_file_rejected_cleanly(self, tmp_path):
         from sawnet.errors import SawnetError
 
@@ -485,6 +553,15 @@ class TestSpectrogramContainer:
         path = tmp_path / "bad.csnw"
         bundle.write_container(path, {"kind": "logmel"}, {"logmel": np.zeros((10, 32))})
         with pytest.raises(ValidationError):
+            bundle.load_spectrogram(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected(self, tmp_path, value):
+        frames = np.zeros((120, 64), np.float32)
+        frames[119, 63] = value
+        path = tmp_path / "bad.csnw"
+        bundle.write_container(path, {"kind": "logmel"}, {"logmel": frames})
+        with pytest.raises(ValidationError, match="logmel tensor has non-finite values"):
             bundle.load_spectrogram(path)
 
     def test_empty_spectrogram_rejected(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -275,6 +276,36 @@ class TestPerFileFailures:
         assert [json.loads(line)["clip_id"] for line in result.stdout.splitlines()] == ["tone"]
         assert "bad.csnw: ValidationError: invalid frame_hop_s 'abc'" in result.stderr
 
+
+    def test_infer_reports_boolean_shape_and_keeps_good_rows(self, tmp_path, model_dir):
+        # JSON true is not a size: numpy's reshape raised TypeError on [200, true]
+        save_spectrogram(tmp_path / "good.csnw",
+                         log_mel_spectrogram(sine_clip(440.0, 2.0, source_id="tone")))
+        header = {"kind": "logmel", "payload_bytes": 800, "tensors": [
+            {"name": "logmel", "shape": [200, True], "dtype": "f32", "offset": 0}]}
+        blob = json.dumps(header).encode()
+        (tmp_path / "bool.csnw").write_bytes(
+            b"CSNW" + struct.pack("<IQ", 1, len(blob)) + blob + bytes(800))
+        result = run_cli("infer", "--model", model_dir / "rand4.csnw", tmp_path)
+        assert result.returncode == 2
+        assert [json.loads(line)["clip_id"] for line in result.stdout.splitlines()] == ["tone"]
+        assert "bool.csnw: FormatError: malformed manifest entry" in result.stderr
+
+    @pytest.mark.parametrize("command", ["infer", "detect"])
+    def test_non_finite_spectrogram_reported(self, tmp_path, model_dir, command):
+        # one NaN cell printed "probs": [nan, nan] (not JSON) from infer, and
+        # detect at threshold 0 dropped its second without a word
+        spec = log_mel_spectrogram(sine_clip(440.0, 3.0, source_id="tone"))
+        save_spectrogram(tmp_path / "good.csnw", spec)
+        frames = spec.frames.copy()
+        frames[150, 7] = np.nan
+        save_spectrogram(tmp_path / "nan.csnw", LogMelSpectrogram(frames, "nan", spec.num_samples))
+        extra = ("--threshold", "0.0") if command == "detect" else ()
+        result = run_cli(command, "--model", model_dir / "rand4.csnw", *extra, tmp_path)
+        assert result.returncode == 2
+        rows = [json.loads(line) for line in result.stdout.splitlines()]
+        assert rows and {r["clip_id"] for r in rows} == {"tone"}
+        assert "nan.csnw: ValidationError: logmel tensor has non-finite values" in result.stderr
 
     def test_detect_drops_a_file_that_fails_mid_stream(self, tmp_path, model_dir, wav_dir):
         samples = np.zeros(6 * 16000, np.float32)
@@ -645,6 +676,27 @@ class TestTrainAndCV:
                          "--model", str(backbone), "--out", str(out)]) == 2
         assert "ValidationError: 16-d embeddings for a 256-d model" in capsys.readouterr().err
         assert trained == []
+        assert sorted(tmp_path.iterdir()) == [cache]
+
+    def test_one_class_cache_exits_2_before_training(self, tmp_path, backbone, monkeypatch,
+                                                     capsys):
+        # every clip has label 0: no head can be trained on it
+        cache = tmp_path / "cache.csnw"
+        items = tuple(transfer.EmbeddingItem(f"c{i}", i % 5 + 1, 0, np.full(256, float(i)))
+                      for i in range(10))
+        transfer.save_embeddings(cache, transfer.EmbeddingSet(items, dim=256, num_classes=1))
+
+        def trained(*args):
+            raise AssertionError("a head was trained")
+
+        monkeypatch.setattr(transfer, "_sgd", trained)
+        monkeypatch.setattr(transfer, "_worker_heads", trained)
+        for command, extra in (("train-head", ["--model", str(backbone)]), ("eval-cv", [])):
+            assert cli.main([command, "--embeddings", str(cache), *extra,
+                             "--out", str(tmp_path / "out.json")]) == 2
+            captured = capsys.readouterr()
+            assert "ConfigError: a head needs num_classes >= 2, got 1" in captured.err
+            assert not captured.out
         assert sorted(tmp_path.iterdir()) == [cache]
 
     def test_negative_seed_exits_2(self, tmp_path, cache_path):

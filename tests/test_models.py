@@ -653,16 +653,14 @@ class TestBundleDtype:
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("key", ["conv2/kernels", "bn3/var", "fc1/bias"])
     def test_validation_rejects(self, key):
-        # the layer's params object scans the stored tensor (BN's "var" is its
-        # running_var; a conv's kernels are scanned folded) and validation
-        # names the layer
+        # a batch norm's statistics are scanned as they are folded, a conv's
+        # kernels once folded; the error names the layer and the tensor
         spec = models.build_aug_vggish(2)
         stored = random_bn_stats(spec)
         stored[key] = stored[key].copy()
         stored[key].flat[0] = np.nan
         layer, suffix = key.split("/")
-        name = "running_var" if suffix == "var" else suffix
-        with pytest.raises(ValidationError, match=f"layer {layer}: {name} contains non-finite"):
+        with pytest.raises(ValidationError, match=f"layer {layer}: {suffix} contains non-finite"):
             models.WeightBundle(spec, stored)
 
 

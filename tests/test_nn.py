@@ -128,17 +128,18 @@ class TestBatchNormInfer:
         assert np.all(models.run_layers(bundle, x, "conv") == 7.0)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ShapeError):
-            nn.BatchNormParams(np.ones(1), np.zeros(1), np.zeros(1), np.array([-1.0]))
+        with pytest.raises(ValidationError, match="layer bn: var entries must be >= 0"):
+            conv_bn_bundle([1.0], [0.0], [1.0], [0.0], [0.0], [-1.0])
 
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1e-5])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
-        with pytest.raises(ShapeError, match="epsilon"):
-            nn.BatchNormParams(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), epsilon=epsilon)
+        with pytest.raises(ValidationError, match="layer bn: epsilon .* must be finite and > 0"):
+            conv_bn_bundle([1.0], [0.0], [1.0], [0.0], [0.0], [1.0], epsilon=epsilon)
 
     def test_channel_mismatch_raises(self):
-        with pytest.raises(ShapeError, match="beta shape"):
-            nn.BatchNormParams(np.ones(2), np.zeros(3), np.zeros(2), np.ones(2))
+        with pytest.raises(ValidationError, match=r"tensor 'bn/beta' has shape \(3,\)"):
+            conv_bn_bundle([1.0, 1.0], [0.0, 0.0], np.ones(2), np.zeros(3), np.zeros(2),
+                           np.ones(2))
         spec = models.ModelSpec("aug_vggish", 2, (
             models.LayerDef("conv", "conv", in_ch=1, out_ch=2, kernel=1),
             models.LayerDef("bn", "batchnorm", channels=3),
@@ -426,7 +427,8 @@ class TestNonFiniteParameters:
         kernels[0, 0, 1, 1] = bad
         with pytest.raises(ShapeError, match="non-finite"):
             nn.ConvParams(kernels, np.zeros(1))
-        with pytest.raises(ShapeError, match="non-finite"):
-            nn.BatchNormParams(np.ones(2), np.array([0.0, bad]), np.zeros(2), np.ones(2))
+        with pytest.raises(ValidationError, match="layer bn: beta contains non-finite"):
+            conv_bn_bundle([1.0, 1.0], [0.0, 0.0], np.ones(2), [0.0, bad], np.zeros(2),
+                           np.ones(2))
         with pytest.raises(ShapeError, match="non-finite"):
             nn.DenseParams(np.zeros((2, 2)), np.array([bad, 0.0]))

@@ -132,6 +132,19 @@ class TestTrainHead:
         with pytest.raises(ConfigError):
             transfer.train_head(empty, transfer.TrainConfig())
 
+    def test_one_class_set_rejected_before_training(self, monkeypatch):
+        eset = synthetic_set(num_classes=1, per_class=10, dim=4, folds=5, seed=16)
+
+        def trained(*args):
+            raise AssertionError("a head was trained")
+
+        monkeypatch.setattr(transfer, "_sgd", trained)
+        monkeypatch.setattr(transfer, "_worker_heads", trained)
+        with pytest.raises(ConfigError, match="num_classes >= 2, got 1"):
+            transfer.train_head(eset, transfer.TrainConfig())
+        with pytest.raises(ConfigError, match="num_classes >= 2, got 1"):
+            transfer.run_cv(eset, 5, transfer.TrainConfig())
+
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(ConfigError):
             transfer.TrainConfig(learning_rate=-0.1)
