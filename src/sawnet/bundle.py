@@ -231,7 +231,8 @@ def save_spectrogram(path, spec: LogMelSpectrogram) -> None:
 def load_spectrogram(path) -> LogMelSpectrogram:
     """Load a spectrogram container, checking its preproc_tag like `load_bundle`
     and any frame timing it records against the convention; the frames are
-    the container's read-only float32 `logmel` tensor as read, which must be finite."""
+    the container's read-only float32 `logmel` tensor as read, which must be
+    finite, and a `source_id`, if recorded, must be a string."""
     header, tensors = read_container(path)
     preproc_tag = header.get("preproc_tag", PREPROC_TAG)
     if preproc_tag != PREPROC_TAG:
@@ -250,6 +251,9 @@ def load_spectrogram(path) -> LogMelSpectrogram:
                               f"got {frames.shape}")
     if not np.isfinite([frames.min(), frames.max()]).all():  # scans without a frames-sized mask
         raise ValidationError("logmel tensor has non-finite values")
+    source_id = header.get("source_id", "")
+    if not isinstance(source_id, str):
+        raise ValidationError(f"source_id must be a string, got {type(source_id).__name__}")
     num_samples = header.get("num_samples")
     if num_samples is not None and (
             not isinstance(num_samples, int) or num_samples < FRAME_LEN
@@ -258,6 +262,6 @@ def load_spectrogram(path) -> LogMelSpectrogram:
             f"num_samples {num_samples!r} does not match {frames.shape[0]} frames")
     return LogMelSpectrogram(
         frames=frames,
-        source_id=str(header.get("source_id", "")),
+        source_id=source_id,
         num_samples=num_samples,
     )

@@ -20,9 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, TooShort, UndefinedMetric
-from .frontend import FRAMES_PER_SECOND, LogMelSpectrogram, Source, patch_blocks, whole_seconds
+from .frontend import FRAMES_PER_SECOND, LogMelSpectrogram, Source, whole_seconds
 from .models import WeightBundle, forward_batch
 from .nn import softmax
+from .workers import forward_blocks
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,23 @@ def score_stream(bundle: WeightBundle, clip: Source, positive_class: int) -> lis
     first frame, which covers 16 kHz samples ``[16000 s, 16000 s + 15600)``.
     The patches come from `frontend.patch_blocks` in blocks of
     `bundle.plan[0].per_call` seconds, one `forward_batch` call each, so
-    memory is bounded by one block, and the scores are bit-identical to one
-    forward over the whole clip's patches. Every input sample is read: a bad
-    sample anywhere in a file fails the whole clip, as `wavio.decode_wav` would.
+    memory is bounded by a fixed number of blocks, and the scores are
+    bit-identical to one forward over the whole clip's patches. Every input
+    sample is read: a bad sample anywhere in a file fails the whole clip, as
+    `wavio.decode_wav` would.
+
+    The blocks run through `workers.forward_blocks`: in this process until the
+    bundle has forwarded as many patches here as starting its pool of worker
+    processes costs, then, for clips of two or more blocks, on that pool,
+    which resamples, takes the log-mel of and forwards contiguous runs of
+    seconds in parallel and gives the same scores bit for bit.
     """
     seconds = whole_seconds(clip)
     if seconds < 1:
         raise TooShort(f"clip {clip.source_id!r} is shorter than one second")
     scores: list[SecondScore] = []
-    for patches in patch_blocks(clip, bundle.plan[0].per_call, FRAMES_PER_SECOND, seconds):
+    for logits in forward_blocks(bundle, clip, FRAMES_PER_SECOND, seconds, forward_batch):
         first = len(scores)
-        logits = forward_batch(bundle, patches)
         check_positive_class(positive_class, logits.shape[1])
         probabilities = softmax(logits)[:, positive_class].tolist()
         scores += [SecondScore(clip.source_id, first + s, p) for s, p in enumerate(probabilities)]

@@ -20,14 +20,17 @@ from only the input it needs, bit-identical to that slice of the whole-clip
 output. `log_mel_blocks` and `patch_blocks` read a clip one block at a time,
 whether it is audio (`AudioSource`: an `AudioClip`, or a `wavio.WavReader`
 read by range) or a loaded `LogMelSpectrogram`, whose rows they slice by the
-same rule; only they, `num_frames` and `whole_seconds` tell the two apart.
+same rule (`blocks`). `block_window` cuts out the input a run
+of blocks reads, so another process can compute them bit for bit from only
+that; only these functions, `num_frames` and `whole_seconds` tell the two
+kinds of clip apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -240,18 +243,27 @@ def resample_to_16k(clip: AudioSource, start: int = 0, stop: int | None = None) 
     if start == stop:
         return AudioClip(np.zeros(0, np.float32), SAMPLE_RATE, clip.source_id)
     positions = np.arange(start, stop) * (rate / SAMPLE_RATE)
-    lo, hi = int(positions[0]), min(int(positions[-1]) + 2, n)
+    lo, hi, a, b = _reads(n, rate, start, stop)
+    x = clip.read(a, b).astype(np.float64)
     if rate > SAMPLE_RATE:
-        h = _design_lowpass(rate)
-        half = (len(h) - 1) // 2
-        a, b = max(lo - half, 0), min(hi + half, n)
-        x = np.pad(clip.read(a, b).astype(np.float64), (a - (lo - half), hi + half - b),
-                   mode="edge")
-        x = np.convolve(x, h, mode="valid")
-    else:
-        x = clip.read(lo, hi).astype(np.float64)
+        half = _LOWPASS_TAPS // 2
+        x = np.convolve(np.pad(x, (a - (lo - half), hi + half - b), mode="edge"),
+                        _design_lowpass(rate), mode="valid")
     out = np.interp(positions, np.arange(lo, hi), x)
     return AudioClip(out.astype(np.float32), SAMPLE_RATE, clip.source_id)
+
+
+def _reads(n: int, rate: int, start: int, stop: int) -> tuple[int, int, int, int]:
+    """For the output samples ``[start, stop)`` (not empty) of `resample_to_16k`
+    on `n` samples at `rate`: the input positions ``[lo, hi)`` they are
+    interpolated between, and the samples ``[a, b)`` read for them, which add
+    the low-pass filter's halo when downsampling."""
+    if rate == SAMPLE_RATE:
+        return start, stop, start, stop
+    step = rate / SAMPLE_RATE  # output sample i sits at input position i * step
+    lo, hi = int(start * step), min(int((stop - 1) * step) + 2, n)
+    half = _LOWPASS_TAPS // 2 if rate > SAMPLE_RATE else 0
+    return lo, hi, max(lo - half, 0), min(hi + half, n)
 
 
 @lru_cache(maxsize=2)
@@ -312,25 +324,76 @@ def extract_patches(spec: LogMelSpectrogram, hop: int = PATCH_FRAMES,
     return windows[::hop].transpose(0, 2, 1)
 
 
-def log_mel_blocks(clip: Source, frames: int) -> Iterator[np.ndarray]:
-    """The rows of a clip's log-mel, bit for bit, in consecutive blocks of
-    `frames` (>= 96) rows: slices of a spectrogram's rows, or the rows of
-    ``log_mel_spectrogram(resample_to_16k(clip))``, each from only its own
-    16 kHz range. A remainder under 96 rows joins the last block, as a BLAS may
-    round a product of a few rows differently. The last block reads to the
-    clip's end: drained, the generator reads every input sample.
-    """
+class Block(NamedTuple):
+    """One block of a clip as `patch_blocks` reads it: its log-mel rows
+    ``[first, stop)``, and the `patches` patches that start in them."""
+
+    first: int
+    stop: int
+    patches: int
+
+
+def _block_rows(clip: Source, frames: int) -> list[tuple[int, int]]:
+    """Consecutive blocks of `frames` (>= 96) log-mel rows ``[first, stop)``:
+    a remainder under 96 rows joins the last block, which ends at the clip's
+    last row."""
     if frames < PATCH_FRAMES:
         raise ConfigError(f"a block needs at least {PATCH_FRAMES} frames, got {frames}")
-    starts = range(0, max(num_frames(clip) - PATCH_FRAMES, 0) + 1, frames)
+    total = num_frames(clip)
+    firsts = range(0, max(total - PATCH_FRAMES, 0) + 1, frames)
+    return [(first, first + frames) for first in firsts[:-1]] + [(firsts[-1], total)]
+
+
+def _samples(clip: AudioSource, first: int, stop: int) -> tuple[int, int]:
+    """The 16 kHz samples ``[start, end)`` whose log-mel is rows ``[first, stop)``;
+    rows that end at the clip's last one read to its last sample."""
+    if stop == num_frames(clip):
+        return first * FRAME_HOP, resampled_length(clip.num_samples, clip.sample_rate)
+    return first * FRAME_HOP, (stop - 1) * FRAME_HOP + FRAME_LEN
+
+
+def _block_frames(clip: Source, first: int, stop: int) -> np.ndarray:
+    """Rows ``[first, stop)`` of a clip's log-mel, bit for bit: a slice of a
+    spectrogram's rows, or ``log_mel_spectrogram(resample_to_16k(clip, start,
+    end)).frames`` of the 16 kHz samples they cover, the last rows with the
+    samples after them."""
     if isinstance(clip, LogMelSpectrogram):
-        for first in starts:
-            yield clip.frames[first:] if first == starts[-1] else clip.frames[first:first + frames]
-        return
-    num_samples = resampled_length(clip.num_samples, clip.sample_rate)
-    for first in starts:
-        stop = num_samples if first == starts[-1] else (first + frames - 1) * FRAME_HOP + FRAME_LEN
-        yield log_mel_spectrogram(resample_to_16k(clip, first * FRAME_HOP, stop)).frames
+        return clip.frames[first:stop]
+    return log_mel_spectrogram(resample_to_16k(clip, *_samples(clip, first, stop))).frames
+
+
+def log_mel_blocks(clip: Source, frames: int) -> Iterator[np.ndarray]:
+    """The rows of a clip's log-mel, bit for bit, in consecutive blocks of
+    `frames` (>= 96) rows (`_block_frames`), each from only its own 16 kHz
+    range. A remainder under 96 rows joins the last block, as a BLAS may round
+    a product of a few rows differently. The last block reads to the clip's
+    end: drained, the generator reads every input sample.
+    """
+    for first, stop in _block_rows(clip, frames):
+        yield _block_frames(clip, first, stop)
+
+
+def blocks(clip: Source, block: int, hop: int = PATCH_FRAMES,
+           count: int | None = None) -> list[Block]:
+    """The blocks `patch_blocks` reads: those of ``log_mel_blocks(clip, block * hop)``,
+    each with the patches of ``extract_patches(the clip's log-mel, hop, count)``
+    that start in it. Patches must not overlap (``hop >= 96``)."""
+    if block < 1 or hop < PATCH_FRAMES:
+        raise ConfigError(f"need block >= 1 and hop >= {PATCH_FRAMES}, got {block} and {hop}")
+    total = num_frames(clip)
+    if count is None:
+        count = max(total - PATCH_FRAMES, 0) // hop + 1
+    if total > 0 and (count < 1 or (count - 1) * hop >= total):
+        raise ConfigError(f"{count} patches at hop {hop} do not start within {total} frames")
+    return [Block(first, stop, min(count - k * block, -(-(stop - first) // hop)))
+            for k, (first, stop) in enumerate(_block_rows(clip, block * hop))]
+
+
+def block_patches(clip: Source, b: Block, block: int, hop: int) -> Iterator[np.ndarray]:
+    """Block `b`'s patches (`blocks`), in arrays of `block` (the last may be shorter)."""
+    frames = _block_frames(clip, b.first, b.stop)
+    for i in range(0, b.patches, block):
+        yield extract_patches(LogMelSpectrogram(frames[i * hop:]), hop, min(block, b.patches - i))
 
 
 def patch_blocks(clip: Source, block: int, hop: int = PATCH_FRAMES,
@@ -340,14 +403,36 @@ def patch_blocks(clip: Source, block: int, hop: int = PATCH_FRAMES,
     overlap (``hop >= 96``): each then lies in one block of
     ``log_mel_blocks(clip, block * hop)``, and every block is read.
     """
-    if block < 1 or hop < PATCH_FRAMES:
-        raise ConfigError(f"need block >= 1 and hop >= {PATCH_FRAMES}, got {block} and {hop}")
-    total = num_frames(clip)
-    if count is None:
-        count = max(total - PATCH_FRAMES, 0) // hop + 1
-    if total > 0 and (count < 1 or (count - 1) * hop >= total):
-        raise ConfigError(f"{count} patches at hop {hop} do not start within {total} frames")
-    for k, frames in enumerate(log_mel_blocks(clip, block * hop)):
-        n = min(count - k * block, -(-len(frames) // hop))  # patches starting in block k
-        for i in range(0, n, block):
-            yield extract_patches(LogMelSpectrogram(frames[i * hop:]), hop, min(block, n - i))
+    for b in blocks(clip, block, hop, count):
+        yield from block_patches(clip, b, block, hop)
+
+
+@dataclass
+class AudioWindow:
+    """Samples ``[offset, offset + len(samples))`` of a clip of `num_samples`
+    at `sample_rate`: an `AudioSource` that stands for the whole clip but
+    holds, and reads, only those."""
+
+    samples: np.ndarray
+    offset: int
+    num_samples: int
+    sample_rate: int
+    source_id: str = ""
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        if not self.offset <= lo <= hi <= self.offset + len(self.samples):
+            raise ValueError(f"samples [{lo}, {hi}) are outside this window")
+        return self.samples[lo - self.offset:hi - self.offset]
+
+
+def block_window(clip: Source, run: list[Block]) -> tuple[Source, list[Block]]:
+    """A clip standing for `clip` with only the input that `block_patches`
+    reads for `run`, consecutive blocks of it, and those blocks in it: a
+    spectrogram of the run's rows, or an `AudioWindow` of the samples
+    `resample_to_16k` reads for them (`_reads`)."""
+    first, stop = run[0].first, run[-1].stop
+    if isinstance(clip, LogMelSpectrogram):
+        return (LogMelSpectrogram(clip.frames[first:stop]),
+                [b._replace(first=b.first - first, stop=b.stop - first) for b in run])
+    *_, a, b = _reads(clip.num_samples, clip.sample_rate, *_samples(clip, first, stop))
+    return AudioWindow(clip.read(a, b), a, clip.num_samples, clip.sample_rate, clip.source_id), run

@@ -306,6 +306,10 @@ class WeightBundle:
     float32) and builds the layer operators' params on those same arrays,
     which checks each tensor for non-finite values once. The weights are held
     once, at the size of their float32 container.
+
+    A bundle that has scored enough in this process runs `evaluation.score_stream`
+    and `transfer.extract_embeddings` on a pool of worker processes of its own
+    (`workers.Pool`), which lives as long as it does.
     """
 
     spec: ModelSpec
@@ -314,6 +318,10 @@ class WeightBundle:
     _objs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plan: tuple[Stage, ...] = field(default=(), init=False, repr=False, compare=False)
     dtype: np.dtype = field(default=np.dtype(np.float32), init=False, compare=False)
+    # `workers.forward_blocks`' count of patches forwarded in this process, and
+    # the `workers.Pool` it starts; a `weakref.finalize` on this bundle closes it
+    _scored: int = field(default=0, init=False, repr=False, compare=False)
+    _pool: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()

@@ -4,12 +4,13 @@ The backbone stays frozen: each clip is reduced to the mean of its patch
 embeddings once, and a dense softmax head is trained on those vectors by
 mini-batch SGD. k-fold cross-validation trains one head per held-out fold.
 
-`run_cv` trains its k fold heads in `min(k, usable cores)` worker processes,
-each a fresh Python started with one BLAS thread (the step's two small GEMMs
-run no faster on two). The parent writes the stacked rows once to a
-temporary `.npy` that the workers map read-only, and each worker pickles its
-heads back on stdout; the heads are bit-identical to the in-process ones.
-With one usable core, and always in `train_head`, the SGD runs in-process.
+`run_cv` trains its k fold heads in `min(k, usable cores)` worker processes
+(`workers.Worker`), each a fresh Python started with one BLAS thread (the
+step's two small GEMMs run no faster on two). The parent writes the stacked
+rows once to a temporary `.npy` that the workers map read-only, and each
+worker pickles its heads back on stdout; the heads are bit-identical to the
+in-process ones. With one usable core, and always in `train_head`, the SGD
+runs in-process.
 
 All randomness (head init, shuffling) comes from TrainConfig.seed, and items
 are ordered by clip_id before training, so results do not depend on input
@@ -22,7 +23,6 @@ import math
 import os
 import pickle
 import re
-import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -32,9 +32,10 @@ from typing import Iterable
 import numpy as np
 
 from . import bundle as bundle_io
+from . import workers
 from .errors import ConfigError, ParseError, SawnetError, ValidationError
 from .evaluation import accuracy_f1
-from .frontend import Source, patch_blocks
+from .frontend import PATCH_FRAMES, Source
 from .models import WeightBundle, forward_embedding
 from .nn import DenseParams, dense, log_softmax, softmax
 
@@ -124,18 +125,22 @@ def extract_embeddings(
     """Embed labeled clips: mean of all 96-frame patch embeddings per clip.
 
     `clips` yields (clip, label, fold) triples; a clip is any `frontend.Source`,
-    read in blocks of `bundle.plan[0].per_call` patches. Clips that fail with a
-    SawnetError (bad audio, too short) are skipped and reported in the
-    returned error list instead of aborting the batch; any other exception is
-    a bug and propagates. Items come back sorted by clip_id.
+    read in blocks of `bundle.plan[0].per_call` patches, one `forward_embedding`
+    call each, through `workers.forward_blocks`: in this process, or, once the
+    bundle has forwarded enough here, on its pool of worker processes for a
+    clip of two or more blocks, with bit-identical embeddings. Clips that fail
+    with a SawnetError (bad audio, too short) are skipped and reported in the
+    returned error list instead of aborting the batch; any other exception,
+    such as a pool worker's failure (RuntimeError), is a bug and propagates.
+    Items come back sorted by clip_id.
     """
     rows: list[EmbeddingItem] = []
     errors: list[tuple[str, str]] = []
     labels_seen: list[int] = []
     for clip, label, fold in clips:
         try:
-            embeddings = [forward_embedding(bundle, patches)
-                          for patches in patch_blocks(clip, bundle.plan[0].per_call)]
+            embeddings = workers.forward_blocks(bundle, clip, PATCH_FRAMES, None,
+                                                forward_embedding)
             rows.append(EmbeddingItem(
                 clip_id=clip.source_id,
                 fold=int(fold),
@@ -268,9 +273,9 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
         raise ConfigError(f"folds with zero items: {sorted(missing)}")
     x, y, _ = _design_matrix(eset)
     folds = np.array([item.fold for item in sorted(eset.items, key=lambda i: i.clip_id)])
-    workers = min(k, _usable_cores())
-    if workers > 1:
-        heads = _worker_heads(x, y, folds, k, eset.num_classes, cfg, workers)
+    n_workers = min(k, workers.usable_cores())
+    if n_workers > 1:
+        heads = _worker_heads(x, y, folds, k, eset.num_classes, cfg, n_workers)
     else:
         heads = [_sgd(x, y, np.flatnonzero(folds != fold), eset.num_classes, cfg)
                  for fold in range(1, k + 1)]
@@ -287,70 +292,45 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
 _WORKER = "import sys; from sawnet.transfer import _fold_worker; _fold_worker(sys.argv[1:])"
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _worker_heads(x: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int, num_classes: int,
-                  cfg: TrainConfig, workers: int) -> list[DenseParams]:
+                  cfg: TrainConfig, n_workers: int) -> list[DenseParams]:
     """`_sgd`'s head for each fold 1..k, trained on the rows of the other
-    folds in `workers` processes, in fold order.
+    folds in `n_workers` processes (`workers.Worker`), in fold order.
 
     `x` goes once to a temporary `.npy` and the rest of the job to a pickle
-    beside it; worker w trains folds w, w + workers, ... Each worker is a
-    fresh `sys.executable` whose environment is this one with one OpenBLAS,
-    OpenMP and MKL thread and this process's `sys.path` (absolute, in order)
-    as PYTHONPATH, so it imports the modules this process imports. A worker
-    that fails raises RuntimeError with its stderr, and every worker is
-    killed and reaped before this returns or raises.
+    beside it; worker w trains folds w, w + n_workers, ... A worker that fails
+    raises RuntimeError with its stderr, and every worker is killed and reaped
+    before this returns or raises.
     """
-    import subprocess  # here, so that commands which train no CV folds do not load it (0.5 MB)
-
-    shares = [list(range(w, k + 1, workers)) for w in range(1, workers + 1)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(map(os.path.abspath, sys.path)))
+    shares = [list(range(w, k + 1, n_workers)) for w in range(1, n_workers + 1)]
     heads: dict[int, DenseParams] = {}
     with tempfile.TemporaryDirectory(prefix="sawnet-cv-") as job:
         np.save(os.path.join(job, "x.npy"), x)
         with open(os.path.join(job, "job.pkl"), "wb") as fh:
             pickle.dump((y, folds, num_classes, cfg), fh)
-        procs: list[subprocess.Popen] = []
+        procs: list[workers.Worker] = []
         try:
             for share in shares:
-                procs.append(subprocess.Popen(
-                    [sys.executable, "-c", _WORKER, job, *map(str, share)], cwd=job, env=env,
-                    stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+                procs.append(workers.Worker(f"run_cv worker for folds {share}", _WORKER,
+                                                 job, *map(str, share), cwd=job))
             for share, proc in zip(shares, procs):
-                out, err = proc.communicate()
-                if proc.returncode:
-                    raise RuntimeError(f"run_cv worker for folds {share} exited with status "
-                                       f"{proc.returncode}: {err.decode(errors='replace').strip()}")
-                heads.update(zip(share, pickle.loads(out)))
+                heads.update(zip(share, proc.receive()))
         finally:
-            for proc in procs:
-                proc.kill()  # a no-op once it has exited
-                proc.wait()
-                proc.stdout.close()
-                proc.stderr.close()
+            workers.close_all(procs)
     return [heads[fold] for fold in range(1, k + 1)]
 
 
 def _fold_worker(argv: list[str]) -> None:
     """A `run_cv` worker: `_sgd` for each fold named in ``argv[1:]``, on the job
-    `_worker_heads` wrote to directory ``argv[0]``; the heads go to stdout,
-    pickled as one list. The rows are mapped read-only, so the workers share
+    `_worker_heads` wrote to directory ``argv[0]``; the heads go back as one
+    list (`workers.reply`). The rows are mapped read-only, so the workers share
     their pages; `_sgd` copies each batch out of them."""
     job = Path(argv[0])
     x = np.load(job / "x.npy", mmap_mode="r")
     with open(job / "job.pkl", "rb") as fh:
         y, folds, num_classes, cfg = pickle.load(fh)
-    heads = [_sgd(x, y, np.flatnonzero(folds != int(fold)), num_classes, cfg)
-             for fold in argv[1:]]
-    pickle.dump(heads, sys.stdout.buffer)
+    workers.reply([_sgd(x, y, np.flatnonzero(folds != int(fold)), num_classes, cfg)
+                        for fold in argv[1:]])
 
 
 _ESC50_NAME = re.compile(r"^(\d+)-([A-Za-z0-9]+)-([A-Za-z0-9]+)-(\d+)\.wav$")

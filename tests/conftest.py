@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import sawnet
-from sawnet import frontend, models, nn
+from sawnet import frontend, models, nn, workers
 from sawnet.bundle import write_container
 from sawnet.wavio import encode_wav, wav_header
 
@@ -40,6 +41,37 @@ def no_child_left_running():
     left = child_pids() - before
     if left:
         pytest.fail(f"child processes left running: {sorted(left)}")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_at_session_end():
+    """Fail the run if any child of the test process outlives every test and
+    fixture: set up first, this is torn down last, after the session-scoped
+    bundles, whose pools close when they are collected."""
+    yield
+    gc.collect()
+    left = child_pids()
+    if left:
+        pytest.fail(f"child processes still running at the end of the session: {sorted(left)}")
+
+
+@pytest.fixture(autouse=True)
+def in_process_scoring(monkeypatch):
+    """Score in this process unless a test starts a pool itself (`pooled`).
+
+    A bundle starts its pool once it has forwarded `workers._START_AFTER`
+    patches in-process, and the session-scoped bundles pass that count across
+    tests: the pool would start in whichever test crossed it. Tests that
+    replace `forward_batch` or `forward_embedding` rely on this pin too."""
+    monkeypatch.setattr(workers, "_START_AFTER", math.inf)
+
+
+def pooled(bundle: models.WeightBundle) -> models.WeightBundle:
+    """A new bundle on `bundle`'s folded tensors with its pool started, of
+    `workers.usable_cores()` workers; close it with ``b._pool.close()``."""
+    b = models.WeightBundle(bundle.spec, dict(bundle.params), bundle.epsilon)
+    b._pool = workers.Pool(b, workers.usable_cores())
+    return b
 
 
 def run_cli(*args, cwd=None):
@@ -154,6 +186,17 @@ def float64_copy(bundle: models.WeightBundle) -> models.WeightBundle:
     return models.WeightBundle(
         spec=bundle.spec, params={k: np.asarray(v, np.float64) for k, v in bundle.params.items()},
         epsilon=bundle.epsilon)
+
+
+def tiny_net() -> models.WeightBundle:
+    """A network of a few hundred weights on the 96x64 patch: a fast forward,
+    so that a test's time goes to the frontend and the pool."""
+    spec = models.ModelSpec("aug_vggish", 2, (
+        models.LayerDef("conv1", "conv", relu=True, in_ch=1, out_ch=2, kernel=3),
+        *(models.LayerDef(f"pool{i}", "maxpool") for i in range(1, 5)),
+        models.LayerDef("gap", "global_avg_pool"),
+        models.LayerDef("head", "dense", in_units=2, out_units=2)), "gap", 2)
+    return models.init_bundle(spec, init="random", seed=5)
 
 
 def random_patch(seed: int = 0) -> np.ndarray:

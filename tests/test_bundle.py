@@ -508,6 +508,21 @@ class TestSpectrogramContainer:
         bundle.write_container(path, header, tensors)
         assert bundle.load_spectrogram(path).num_frames == 120
 
+    @pytest.mark.parametrize("source_id", [[[[]]] * 2, 7, None, {"id": "x"}])
+    def test_non_string_source_id_rejected(self, tmp_path, source_id):
+        # a header of nested lists once became a clip id of its text
+        path = tmp_path / "s.csnw"
+        bundle.save_spectrogram(path, LogMelSpectrogram(frames=np.zeros((120, 64))))
+        header, tensors = bundle.read_container(path)
+        header["source_id"] = source_id
+        del header["tensors"], header["payload_bytes"]
+        bundle.write_container(path, header, tensors)
+        with pytest.raises(ValidationError, match="source_id must be a string"):
+            bundle.load_spectrogram(path)
+        del header["source_id"]
+        bundle.write_container(path, header, tensors)
+        assert bundle.load_spectrogram(path).source_id == ""
+
     def test_num_samples_round_trip(self, tmp_path):
         spec = LogMelSpectrogram(frames=np.zeros((298, 64)), num_samples=47950)
         path = tmp_path / "s.csnw"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_long_wav
+from conftest import pooled, tiny_net, write_long_wav
 from sawnet import bundle, cli, evaluation, frontend, models, nn, transfer
 from sawnet.errors import ConfigError, DecodeError, SawnetError, TooShort, UndefinedMetric
 from sawnet.evaluation import SecondScore, accuracy_f1, merge_events, pr_curve, score_stream
@@ -426,7 +426,8 @@ class TestBlockwiseScoring:
             calls.append(np.array(patches))
             return np.zeros((len(patches), 2))
 
-        net = mock.Mock(plan=(models.Stage(0, 1, step),))  # only its plan is read
+        # only its plan is read, and the in-process count and pool that every bundle has
+        net = mock.Mock(plan=(models.Stage(0, 1, step),), _scored=0, _pool=None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "forward_batch", record)
             score_stream(net, clip, positive_class=1)
@@ -448,6 +449,23 @@ class TestBlockwiseScoring:
 
         peaks = _peaks(detect)
         assert peaks[1] <= 1.1 * peaks[0] + 2**20
+
+    def test_file_peak_memory_flat_in_length_on_a_pool(self, long_wavs):
+        # each run of blocks is read as it is sent, so this process holds as
+        # many blocks in flight for 10 minutes as for 1
+        net = pooled(tiny_net())
+
+        def detect(minutes):
+            with WavReader(long_wavs[minutes]) as wav:
+                assert len(score_stream(net, wav, positive_class=1)) == 60 * minutes
+
+        try:
+            detect(1)  # the pool starts outside the measurement
+            peaks = _peaks(detect)
+        finally:
+            net._pool.close()
+        # besides the runs in flight, only the 540 more seconds' scores grow
+        assert peaks[1] <= 1.1 * peaks[0] + 540 * 400 + 2**20
 
     def test_infer_peak_memory_flat_in_length(self, long_wavs, tmp_path, monkeypatch):
         net = models.init_bundle(models.build_aug_vggish(2), init="zeros")

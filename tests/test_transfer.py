@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_pids, random_bn_stats
-from sawnet import evaluation, frontend, models, nn, transfer
+from sawnet import evaluation, frontend, models, nn, transfer, workers
 from sawnet.errors import ConfigError, ParseError, SawnetError, ValidationError
 from sawnet.nn import DenseParams
 
@@ -336,7 +336,7 @@ class TestHeadDtype:
 
 
 def cores(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(transfer, "_usable_cores", lambda: n)
+    monkeypatch.setattr(workers, "usable_cores", lambda: n)
 
 
 class TestFoldWorkers:
@@ -393,10 +393,10 @@ class TestFoldWorkers:
         assert list(tmp_path.iterdir()) == []  # the job directory is gone
 
     def test_workers_get_one_blas_thread_and_environment_unchanged(self, monkeypatch):
-        envs = []
+        envs, started = [], []
         popen = subprocess.Popen
-        monkeypatch.setattr(subprocess, "Popen",
-                            lambda *a, env, **kw: envs.append(env) or popen(*a, env=env, **kw))
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, env, **kw: envs.append(env) or
+                            started.append(popen(*a, env=env, **kw)) or started[-1])
         cores(monkeypatch, 2)
         before = dict(os.environ)
         transfer.run_cv(synthetic_set(num_classes=3, per_class=10, dim=4, folds=2, seed=62),
@@ -408,6 +408,9 @@ class TestFoldWorkers:
         assert len(envs) == 2
         for env in envs:
             assert env == before | one_thread | {"PYTHONPATH": path}
+        # each worker sends its own peak memory back with its heads
+        peaks = workers.worker_peaks_mb()
+        assert all(10 < peaks[proc.pid] < 500 for proc in started)
 
 
 class TestBatchedHead:
