@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import load_bundle, load_spectrogram, save_bundle, save_spectrogram
-from .errors import SawnetError, ValidationError
+from .errors import ConfigError, SawnetError, ValidationError
 from .evaluation import check_positive_class, merge_events, score_stream
 from .frontend import (PREPROC_TAG, LogMelSpectrogram, log_mel_blocks, patch_blocks,
                        resampled_length)
@@ -148,10 +148,14 @@ def cmd_featurize(args) -> int:
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    outputs = []
+    written: dict[Path, Path] = {}  # each output: the input it was featurized from
     dtype = np.float64 if args.format == "csv" else np.float32  # as the frames are written
+    suffix = ".csv" if args.format == "csv" else ".csnw"
     for path in inputs:
+        out_path = out_dir / f"{path.stem}{suffix}"
         try:
+            if out_path in written:
+                raise ConfigError(f"{out_path} is already written from {written[out_path]}")
             with WavReader(path, source_id=path.stem) as wav:
                 frames = np.concatenate([block.astype(dtype, copy=False)
                                          for block in log_mel_blocks(wav, _FEATURIZE_FRAMES)])
@@ -162,15 +166,13 @@ def cmd_featurize(args) -> int:
             failures += 1
             continue
         if args.format == "csv":
-            out_path = out_dir / f"{path.stem}.csv"
             np.savetxt(out_path, spec.frames, delimiter=",", fmt="%.8e")
         else:
-            out_path = out_dir / f"{path.stem}.csnw"
             save_spectrogram(out_path, spec)
-        outputs.append(str(out_path))
+        written[out_path] = path
     manifest = _file_manifest("featurize", {"format": args.format, "out_dir": str(out_dir)},
                               inputs, failures)
-    manifest["outputs"] = outputs
+    manifest["outputs"] = list(map(str, written))
     _write_json(out_dir / "featurize_manifest.json", manifest)
     return _DATA_EXIT if failures else 0
 

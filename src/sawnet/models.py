@@ -319,7 +319,7 @@ class WeightBundle:
     plan: tuple[Stage, ...] = field(default=(), init=False, repr=False, compare=False)
     dtype: np.dtype = field(default=np.dtype(np.float32), init=False, compare=False)
     # `workers.forward_blocks`' count of patches forwarded in this process, and
-    # the `workers.Pool` it starts; a `weakref.finalize` on this bundle closes it
+    # the `workers.Pool` it starts, which closes once this bundle is collected
     _scored: int = field(default=0, init=False, repr=False, compare=False)
     _pool: object = field(default=None, init=False, repr=False, compare=False)
 

@@ -4,13 +4,12 @@ The backbone stays frozen: each clip is reduced to the mean of its patch
 embeddings once, and a dense softmax head is trained on those vectors by
 mini-batch SGD. k-fold cross-validation trains one head per held-out fold.
 
-`run_cv` trains its k fold heads in `min(k, usable cores)` worker processes
-(`workers.Worker`), each a fresh Python started with one BLAS thread (the
-step's two small GEMMs run no faster on two). The parent writes the stacked
-rows once to a temporary `.npy` that the workers map read-only, and each
-worker pickles its heads back on stdout; the heads are bit-identical to the
-in-process ones. With one usable core, and always in `train_head`, the SGD
-runs in-process.
+`run_cv` trains its k fold heads on a `workers.Pool` of `min(k, usable
+cores)` worker processes over the stacked rows, one call per fold; each
+worker has one BLAS thread (the step's two small GEMMs run no faster on two)
+and maps the rows read-only. The heads are bit-identical to the in-process
+ones. With one usable core, and always in `train_head`, the SGD runs
+in-process.
 
 All randomness (head init, shuffling) comes from TrainConfig.seed, and items
 are ordered by clip_id before training, so results do not depend on input
@@ -20,13 +19,9 @@ order.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import re
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -257,8 +252,9 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
 
     The set is stacked once, in `head_dtype(eset)`, and each fold's head is
     `train_head` on its rows of that stack, trained in that dtype; scoring is
-    float64. The heads train in `min(k, usable cores)` worker processes of
-    one BLAS thread each (`_worker_heads`), or in-process on one core.
+    float64. The heads train on a pool of `min(k, usable cores)` workers of
+    one BLAS thread each, one call per fold (`_worker_heads`), or in-process
+    on one core.
     Returns per-fold results and the unweighted mean accuracy across folds.
     """
     if k < 2:
@@ -275,9 +271,14 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
     folds = np.array([item.fold for item in sorted(eset.items, key=lambda i: i.clip_id)])
     n_workers = min(k, workers.usable_cores())
     if n_workers > 1:
-        heads = _worker_heads(x, y, folds, k, eset.num_classes, cfg, n_workers)
+        pool = workers.Pool(_cv_rows, {"x": x, "y": y, "folds": folds},
+                            (eset.num_classes, cfg), n_workers)
+        try:
+            heads = _worker_heads(pool, k)
+        finally:
+            pool.close()
     else:
-        heads = [_sgd(x, y, np.flatnonzero(folds != fold), eset.num_classes, cfg)
+        heads = [_fold_head((x, y, folds, eset.num_classes, cfg), fold)
                  for fold in range(1, k + 1)]
     results = []
     for fold, params in enumerate(heads, 1):
@@ -288,49 +289,22 @@ def run_cv(eset: EmbeddingSet, k: int, cfg: TrainConfig) -> tuple[list[FoldResul
     return results, mean_accuracy
 
 
-# The command a `run_cv` worker runs: `_fold_worker` on its argv.
-_WORKER = "import sys; from sawnet.transfer import _fold_worker; _fold_worker(sys.argv[1:])"
+def _worker_heads(pool: workers.Pool, k: int) -> list[DenseParams]:
+    """`_fold_head` for each fold 1..k on `pool`'s workers, in fold order."""
+    return pool.map(_fold_head, [(fold,) for fold in range(1, k + 1)])
 
 
-def _worker_heads(x: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int, num_classes: int,
-                  cfg: TrainConfig, n_workers: int) -> list[DenseParams]:
-    """`_sgd`'s head for each fold 1..k, trained on the rows of the other
-    folds in `n_workers` processes (`workers.Worker`), in fold order.
-
-    `x` goes once to a temporary `.npy` and the rest of the job to a pickle
-    beside it; worker w trains folds w, w + n_workers, ... A worker that fails
-    raises RuntimeError with its stderr, and every worker is killed and reaped
-    before this returns or raises.
-    """
-    shares = [list(range(w, k + 1, n_workers)) for w in range(1, n_workers + 1)]
-    heads: dict[int, DenseParams] = {}
-    with tempfile.TemporaryDirectory(prefix="sawnet-cv-") as job:
-        np.save(os.path.join(job, "x.npy"), x)
-        with open(os.path.join(job, "job.pkl"), "wb") as fh:
-            pickle.dump((y, folds, num_classes, cfg), fh)
-        procs: list[workers.Worker] = []
-        try:
-            for share in shares:
-                procs.append(workers.Worker(f"run_cv worker for folds {share}", _WORKER,
-                                                 job, *map(str, share), cwd=job))
-            for share, proc in zip(shares, procs):
-                heads.update(zip(share, proc.receive()))
-        finally:
-            workers.close_all(procs)
-    return [heads[fold] for fold in range(1, k + 1)]
+def _cv_rows(arrays: dict[str, np.ndarray], state: tuple) -> tuple:
+    """What a `run_cv` pool worker holds: its mapped rows, labels and folds,
+    then the class count and TrainConfig."""
+    return arrays["x"], arrays["y"], arrays["folds"], *state
 
 
-def _fold_worker(argv: list[str]) -> None:
-    """A `run_cv` worker: `_sgd` for each fold named in ``argv[1:]``, on the job
-    `_worker_heads` wrote to directory ``argv[0]``; the heads go back as one
-    list (`workers.reply`). The rows are mapped read-only, so the workers share
-    their pages; `_sgd` copies each batch out of them."""
-    job = Path(argv[0])
-    x = np.load(job / "x.npy", mmap_mode="r")
-    with open(job / "job.pkl", "rb") as fh:
-        y, folds, num_classes, cfg = pickle.load(fh)
-    workers.reply([_sgd(x, y, np.flatnonzero(folds != int(fold)), num_classes, cfg)
-                        for fold in argv[1:]])
+def _fold_head(rows: tuple, fold: int) -> DenseParams:
+    """`_sgd`'s head for `fold`, trained on the rows of the other folds; `_sgd`
+    copies each batch out of the mapped rows."""
+    x, y, folds, num_classes, cfg = rows
+    return _sgd(x, y, np.flatnonzero(folds != fold), num_classes, cfg)
 
 
 _ESC50_NAME = re.compile(r"^(\d+)-([A-Za-z0-9]+)-([A-Za-z0-9]+)-(\d+)\.wav$")

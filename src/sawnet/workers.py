@@ -1,26 +1,27 @@
 """Worker processes of one BLAS thread each: every child process sawnet starts.
 
-A `Worker` is a fresh `sys.executable` running ``python -c CODE ARGS``. Its
-environment is this one with one OpenBLAS, OpenMP and MKL thread and this
-process's `sys.path` (absolute, in order) as PYTHONPATH, so it imports the
-modules this process imports; `os.environ` itself is left as it is. It
-inherits none of this process's standard streams: messages go to it pickled
-on a pipe to its stdin, results come back pickled on a pipe from its stdout,
-each with the worker's own peak memory (`worker_peaks_mb`), and its stderr
-goes to an unnamed temporary file that is read only if it fails. A worker
-that fails raises RuntimeError with that stderr, and `close_all` kills, reaps
-and closes workers on every exit path. `transfer.run_cv` trains its fold heads
-in such workers.
+A `Pool` writes its named arrays once to `.npy` files in a temporary
+directory (numpy starts their data on a 64-byte boundary). Each of its
+`Worker`s is a fresh `sys.executable` running `_serve`: it maps the files
+read-only, so the workers share their pages, builds what it holds once with
+the pool's module-level setup function, and answers the ``(function, args)``
+calls of `Pool.map`. A worker's environment is this one with one OpenBLAS,
+OpenMP and MKL thread and this process's `sys.path` (absolute, in order) as
+PYTHONPATH; `os.environ` itself is left as it is. It inherits none of this
+process's standard streams: calls and results go pickled on pipes to its
+stdin and from its stdout, each result with the worker's own peak memory
+(`worker_peaks_mb`), and its stderr goes to an unnamed temporary file that
+is read only if it fails, into the RuntimeError the failure raises.
 
-A `Pool` keeps one worker per usable core for one `WeightBundle`, for as long
-as the bundle lives. `forward_blocks`, which `evaluation.score_stream` and
-`transfer.extract_embeddings` run their forwards through, starts it only once
-the bundle has forwarded `_START_AFTER` patches in this process (what starting
-a pool costs), and only on two or more usable cores. Each worker maps the
-bundle's folded tensors from `.npy` files written once; a call's blocks go to
-the workers in contiguous runs of at most `_RUN_BLOCKS`, each with only the
-input it reads (`frontend.block_window`), and come back in order, bit for bit
-what this process computes.
+`transfer.run_cv` trains its fold heads on a pool over its stacked rows. A
+bundle's pool holds its `WeightBundle`, one worker per usable core, for as
+long as the bundle lives. `forward_blocks`, which `evaluation.score_stream`
+and `transfer.extract_embeddings` run their forwards through, starts it only
+once the bundle has forwarded `_START_AFTER` patches in this process (what
+starting a pool costs), and only on two or more usable cores. A call's blocks
+go to the workers in contiguous runs of at most `_RUN_BLOCKS`, each with only
+the input it reads (`frontend.block_window`), and come back in order, bit for
+bit what this process computes.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import sys
 import threading
 import weakref
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from . import frontend
+from . import frontend, models
 
 # Patches a bundle forwards in this process before its pool starts: as long as
 # starting it takes. On 2 cores (OpenBLAS), two workers took 0.22-0.26 s to
@@ -45,8 +46,8 @@ _START_AFTER = 18
 # Blocks a worker is sent at a time, which bounds the input this process holds
 # for one call at `usable_cores() * _RUN_BLOCKS` blocks, however long the clip.
 _RUN_BLOCKS = 16
-# The command a pool worker runs: `_serve` on the directory of its bundle.
-_POOL_WORKER = "import sys; from sawnet.workers import _serve; _serve(sys.argv[1])"
+# The command every worker runs: `_serve` on its pool's job directory.
+_SERVE = "import sys; from sawnet.workers import _serve; _serve(sys.argv[1])"
 _PEAKS_MB: dict[int, float] = {}  # `worker_peaks_mb`
 
 
@@ -65,20 +66,19 @@ def worker_peaks_mb() -> dict[int, float]:
 
 
 class Worker:
-    """One child process, named `name` in its errors; see the module docstring."""
+    """One child process running `_serve` on directory `job`; see the module docstring."""
 
-    def __init__(self, name: str, code: str, *args: str, cwd=None):
+    def __init__(self, job: str):
         # imported here, so that commands which start no worker do not load them (0.5 MB)
         import subprocess
         import tempfile
 
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(map(os.path.abspath, sys.path)))
-        self.name = name
         self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
-                [sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                [sys.executable, "-c", _SERVE, job], env=env,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr)
         except BaseException:
             self._stderr.close()
@@ -106,7 +106,7 @@ class Worker:
         self._proc.wait()
         self._stderr.seek(0)
         err = self._stderr.read().decode(errors="replace").strip()
-        return RuntimeError(f"{self.name} exited with status {self._proc.returncode}: {err}")
+        return RuntimeError(f"pool worker exited with status {self._proc.returncode}: {err}")
 
     def close(self) -> None:
         self._proc.kill()
@@ -119,12 +119,6 @@ def close_all(workers: list[Worker]) -> None:
     """Kill, reap and close each of `workers`."""
     for worker in workers:
         worker.close()
-
-
-def reply(value) -> None:
-    """Send `value`, with this worker's peak memory, to the process that started it."""
-    pickle.dump((value, _peak_mb()), sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    sys.stdout.buffer.flush()
 
 
 def _peak_mb() -> float | None:
@@ -140,91 +134,96 @@ def _peak_mb() -> float | None:
 
 
 class Pool:
-    """`workers` workers for `bundle`, each holding the bundle's folded network.
+    """`workers` workers, each holding ``setup(arrays mapped read-only, state)``.
 
-    The tensors go once to `.npy` files in a temporary directory (numpy starts
-    their data on a 64-byte boundary), which each worker maps read-only and
-    checks, and which are unlinked once every worker has them, so the workers
-    share their pages. `close` kills and reaps the workers; it runs when the
-    bundle is collected or the interpreter exits, if not before.
+    `setup` is a module-level function and `state` is picklable. The arrays'
+    files are unlinked once every worker has built what it holds. `close`
+    kills and reaps the workers; it runs when the pool is collected or the
+    interpreter exits, if not before.
     """
 
-    def __init__(self, bundle, workers: int):
+    def __init__(self, setup: Callable, arrays: dict[str, np.ndarray], state, workers: int):
         import tempfile
 
         self.workers: list[Worker] = []
         with tempfile.TemporaryDirectory(prefix="sawnet-pool-") as job:
-            keys = list(bundle.params)
+            keys = list(arrays)
             for i, key in enumerate(keys):
-                np.save(os.path.join(job, f"{i}.npy"), bundle.params[key])
-            with open(os.path.join(job, "bundle.pkl"), "wb") as fh:
-                pickle.dump((bundle.spec, bundle.epsilon, keys), fh)
+                np.save(os.path.join(job, f"{i}.npy"), arrays[key])
+            with open(os.path.join(job, "pool.pkl"), "wb") as fh:
+                pickle.dump((setup, keys, state), fh)
             try:
                 for _ in range(workers):
-                    self.workers.append(Worker("pool worker", _POOL_WORKER, job))
+                    self.workers.append(Worker(job))
                 for worker in self.workers:
-                    worker.receive()  # it has mapped the weights
+                    worker.receive()  # it has built what it holds
             except BaseException:
                 close_all(self.workers)
                 raise
-        self.close = weakref.finalize(bundle, close_all, self.workers)
-        self._lock = threading.Lock()  # one call at a time on the workers' pipes
+        self.close = weakref.finalize(self, close_all, self.workers)
+        self._lock = threading.Lock()  # one `map` at a time on the workers' pipes
 
-    def run(self, forward: str, clip: frontend.Source, blocks: list[frontend.Block],
-            block: int, hop: int) -> list[np.ndarray]:
-        """``models.<forward>(bundle, patches)`` for each array of
-        `frontend.block_patches` over `blocks` of `clip`, in order.
+    def map(self, function: Callable, calls: Iterable[tuple]) -> list:
+        """``function(held, *args)`` for each `args` of `calls`, in order.
 
-        The blocks go out in `_runs`, round robin, and each run's input is read
-        only when it is sent. Any failure closes the pool, since a worker may
-        still hold a result.
+        `function` is a module-level function. The calls go to the workers
+        round robin, each taken from `calls` only when it is sent. Any failure
+        closes the pool, since a worker may still hold a result.
         """
         outs, sent = [], deque()
         with self._lock:
             if not self.close.alive:  # a failed call closed it while this one waited
                 raise RuntimeError("the pool was closed by a failed call")
             try:
-                for i, run in enumerate(_runs(len(blocks), len(self.workers))):
-                    if len(sent) == len(self.workers):
-                        outs += sent.popleft().receive()
+                for i, args in enumerate(calls):
                     worker = self.workers[i % len(self.workers)]
-                    worker.send((forward, *frontend.block_window(clip, blocks[run]), block, hop))
+                    worker.send((function, args))
                     sent.append(worker)
+                    if len(sent) == len(self.workers):  # before the next call is taken
+                        outs.append(sent.popleft().receive())
                 while sent:
-                    outs += sent.popleft().receive()
+                    outs.append(sent.popleft().receive())
             except BaseException:
                 self.close()
                 raise
         return outs
 
 
-def _runs(n: int, workers: int) -> list[slice]:
-    """`n` blocks in contiguous runs, as even as may be: a multiple of `workers`
-    runs of at most `_RUN_BLOCKS`, or one run a block when there are fewer."""
-    runs = min(n, workers * -(-n // (workers * _RUN_BLOCKS)))
-    return [slice(i * n // runs, (i + 1) * n // runs) for i in range(runs)]
-
-
 def _serve(job: str) -> None:
-    """A pool worker: map the bundle in directory `job`, then answer each
-    message `Pool.run` sends until stdin closes, which it also does when the
+    """A pool worker: build what it holds from directory `job`, then answer
+    each call `Pool.map` sends until stdin closes, which it also does when the
     parent dies."""
-    from . import models
 
-    with open(os.path.join(job, "bundle.pkl"), "rb") as fh:
-        spec, epsilon, keys = pickle.load(fh)
-    params = {key: np.load(os.path.join(job, f"{i}.npy"), mmap_mode="r")
-              for i, key in enumerate(keys)}
-    bundle = models.WeightBundle(spec, params, epsilon)
+    def reply(value) -> None:
+        pickle.dump((value, _peak_mb()), sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        sys.stdout.buffer.flush()
+
+    with open(os.path.join(job, "pool.pkl"), "rb") as fh:
+        setup, keys, state = pickle.load(fh)
+    held = setup({key: np.load(os.path.join(job, f"{i}.npy"), mmap_mode="r")
+                  for i, key in enumerate(keys)}, state)
     reply(None)
     while True:
         try:
-            forward, clip, run, block, hop = pickle.load(sys.stdin.buffer)
+            function, args = pickle.load(sys.stdin.buffer)
         except EOFError:
             return
-        forward = getattr(models, forward)
-        reply([forward(bundle, patches) for b in run
-               for patches in frontend.block_patches(clip, b, block, hop)])
+        reply(function(held, *args))
+
+
+def _bundle(params: dict[str, np.ndarray], state) -> models.WeightBundle:
+    """What a bundle's pool worker holds: the `WeightBundle` on `params`."""
+    spec, epsilon = state
+    return models.WeightBundle(spec, params, epsilon)
+
+
+def _forward_run(bundle, forward: str, clip: frontend.Source, run: list[frontend.Block],
+                 block: int, hop: int) -> list[np.ndarray]:
+    """``models.<forward>(bundle, patches)`` for each array of
+    `frontend.block_patches` over the blocks `run` of `clip`, in order."""
+    forward = getattr(models, forward)
+    return [forward(bundle, patches) for b in run
+            for patches in frontend.block_patches(clip, b, block, hop)]
 
 
 def forward_blocks(bundle, clip: frontend.Source, hop: int, count: int | None,
@@ -237,13 +236,22 @@ def forward_blocks(bundle, clip: frontend.Source, hop: int, count: int | None,
     clip_blocks = frontend.blocks(clip, block, hop, count)
     pool = _pool(bundle, len(clip_blocks))
     if pool is not None:
-        return pool.run(forward.__name__, clip, clip_blocks, block, hop)
+        calls = ((forward.__name__, *frontend.block_window(clip, clip_blocks[run]), block, hop)
+                 for run in _runs(len(clip_blocks), len(pool.workers)))
+        return [out for outs in pool.map(_forward_run, calls) for out in outs]
     outs = []
     for b in clip_blocks:
         for patches in frontend.block_patches(clip, b, block, hop):
             outs.append(forward(bundle, patches))
             bundle._scored += len(patches)
     return outs
+
+
+def _runs(n: int, workers: int) -> list[slice]:
+    """`n` blocks in contiguous runs, as even as may be: a multiple of `workers`
+    runs of at most `_RUN_BLOCKS`, or one run a block when there are fewer."""
+    runs = min(n, workers * -(-n // (workers * _RUN_BLOCKS)))
+    return [slice(i * n // runs, (i + 1) * n // runs) for i in range(runs)]
 
 
 def _pool(bundle, blocks: int) -> Pool | None:
@@ -253,5 +261,5 @@ def _pool(bundle, blocks: int) -> Pool | None:
     if blocks < 2:
         return None
     if bundle._pool is None and bundle._scored >= _START_AFTER and (cores := usable_cores()) > 1:
-        bundle._pool = Pool(bundle, cores)
+        bundle._pool = Pool(_bundle, bundle.params, (bundle.spec, bundle.epsilon), cores)
     return bundle._pool

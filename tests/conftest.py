@@ -70,7 +70,8 @@ def pooled(bundle: models.WeightBundle) -> models.WeightBundle:
     """A new bundle on `bundle`'s folded tensors with its pool started, of
     `workers.usable_cores()` workers; close it with ``b._pool.close()``."""
     b = models.WeightBundle(bundle.spec, dict(bundle.params), bundle.epsilon)
-    b._pool = workers.Pool(b, workers.usable_cores())
+    b._pool = workers.Pool(workers._bundle, b.params, (b.spec, b.epsilon),
+                           workers.usable_cores())
     return b
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import random_bn_stats, run_cli, save_unfolded, sine_clip
 from sawnet import cli, models, nn, transfer
-from sawnet.bundle import (load_bundle, read_container, save_bundle, save_spectrogram,
-                           write_container)
+from sawnet.bundle import (load_bundle, load_spectrogram, read_container, save_bundle,
+                           save_spectrogram, write_container)
 from sawnet.evaluation import score_spectrogram
 from sawnet.frontend import (LogMelSpectrogram, extract_patches, log_mel_spectrogram,
                              resample_to_16k)
@@ -112,6 +112,23 @@ class TestFeaturize:
         rows = (out / "tone.csv").read_text().strip().splitlines()
         assert len(rows) == 198  # 2 s -> 198 frames
         assert len(rows[0].split(",")) == 64
+
+    def test_repeated_stem_fails_the_later_input(self, tmp_path):
+        # a/x.wav (2 s) and b/x.wav (3 s) would both write out/x.csnw
+        for name, seconds in (("a", 2), ("b", 3)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "x.wav").write_bytes(encode_wav(
+                np.zeros(16000 * seconds, np.float32), 16000))
+        out = tmp_path / "out"
+        result = run_cli("featurize", tmp_path / "a", tmp_path / "b", "--out-dir", out)
+        assert result.returncode == 2
+        assert (f"featurize: {tmp_path / 'b' / 'x.wav'}: ConfigError: {out / 'x.csnw'} is "
+                f"already written from {tmp_path / 'a' / 'x.wav'}") in result.stderr
+        assert load_spectrogram(out / "x.csnw").frames.shape[0] == 198  # the 2 s clip's
+        manifest = json.loads((out / "featurize_manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "x.csnw")]
+        assert (manifest["files_ok"], manifest["files_failed"]) == (1, 1)
+        assert sorted(p.name for p in out.iterdir()) == ["featurize_manifest.json", "x.csnw"]
 
     def test_directory_input(self, tmp_path, wav_dir):
         out = tmp_path / "featdir"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -376,19 +377,49 @@ class TestFoldWorkers:
         assert [r.fold for r in results] == [1, 2, 3, 4, 5]
 
     def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch, tmp_path):
-        # the worker for folds 1 and 3 fails at once; the one for fold 2 would
-        # sleep for a minute unless it is killed
-        monkeypatch.setattr(transfer, "_WORKER", "import sys, time\n"
-                            "if sys.argv[2] == '1': sys.exit('worker broke')\n"
-                            "time.sleep(60)")
+        # the first worker fails at once; the second would sleep for a minute
+        # unless it is killed
+        scripts, worker = iter(["import sys; sys.exit('worker broke')",
+                                "import time; time.sleep(60)"]), workers.Worker
+
+        def start_worker(job):
+            monkeypatch.setattr(workers, "_SERVE", next(scripts))
+            return worker(job)
+
+        monkeypatch.setattr(workers, "Worker", start_worker)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         cores(monkeypatch, 2)
         eset = synthetic_set(num_classes=3, per_class=10, dim=4, folds=3, seed=61)
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match="folds \\[1, 3\\].*worker broke") as info:
+        with pytest.raises(RuntimeError, match="pool worker exited.*worker broke") as info:
             transfer.run_cv(eset, 3, transfer.TrainConfig(epochs=1))
         assert not isinstance(info.value, SawnetError)
         assert time.monotonic() - start < 30
+        assert child_pids() == set()
+        assert list(tmp_path.iterdir()) == []  # the job directory is gone
+
+    def test_worker_dying_mid_fold_raises_and_leaves_no_child(self, monkeypatch, tmp_path):
+        # every worker reports ready, then writes to its stderr and is killed
+        # in its first fold
+        monkeypatch.setattr(workers, "_SERVE", "import os, signal, sys\n"
+                            "from sawnet import transfer, workers\n"
+                            "def die(*args):\n"
+                            "    print('died mid-fold', file=sys.stderr, flush=True)\n"
+                            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+                            "transfer._sgd = die\n"
+                            "workers._serve(sys.argv[1])")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        ready, heads = [], transfer._worker_heads
+        monkeypatch.setattr(transfer, "_worker_heads",
+                            lambda pool, k: ready.append(len(pool.workers)) or heads(pool, k))
+        cores(monkeypatch, 2)
+        eset = synthetic_set(num_classes=3, per_class=10, dim=4, folds=3, seed=63)
+        with pytest.raises(RuntimeError,
+                           match=f"pool worker exited with status -{signal.SIGKILL}: "
+                                 "died mid-fold$") as info:
+            transfer.run_cv(eset, 3, transfer.TrainConfig(epochs=1))
+        assert not isinstance(info.value, SawnetError)
+        assert ready == [2]  # both workers had started and mapped the rows
         assert child_pids() == set()
         assert list(tmp_path.iterdir()) == []  # the job directory is gone
 

@@ -78,8 +78,9 @@ class TestBitIdentical:
                         got[b is net] = scores, eset.items[0].vector
                         run = frontend.blocks(src, net.plan[0].per_call, 100, len(scores))
                         if len(run) == 1 and b is pool_net:
-                            ones = pool_net._pool.run("forward_batch", src, run,
-                                                      net.plan[0].per_call, 100)
+                            [ones] = pool_net._pool.map(workers._forward_run, [(
+                                "forward_batch", *frontend.block_window(src, run),
+                                net.plan[0].per_call, 100)])
                             here = [models.forward_batch(net, p)
                                     for p in frontend.block_patches(src, run[0],
                                                                     net.plan[0].per_call, 100)]
